@@ -4,9 +4,8 @@
 acceptance presets and prints a pass/fail table (exit code 0 only when
 everything passes); `spinkin transform` applies a phase-space or spin
 transform to a stored state snapshot; `spinkin fit` extracts frequency
-and damping from a diagnostics CSV column.  Environment overrides are
-limited to the output directory (SPINKIN_OUT) and thread count
-(SPINKIN_THREADS).
+and damping from a diagnostics CSV column.  The only environment
+override is the output directory (SPINKIN_OUT).
 """
 
 import argparse
@@ -35,14 +34,6 @@ CHECK_PRESETS = {
 }
 
 
-def _threads_from_env(explicit):
-    n = explicit if explicit is not None else os.environ.get("SPINKIN_THREADS")
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _out_from_env(explicit):
     return explicit if explicit is not None else os.environ.get("SPINKIN_OUT")
 
@@ -51,7 +42,6 @@ def cmd_run(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    _threads_from_env(args.threads)
     run_dir, status = run_case(cfg, out_dir=_out_from_env(args.out))
     print(f"{run_dir}: {status}")
     return 0 if status == "completed" else 1
@@ -135,7 +125,6 @@ CHECKS = {
 
 
 def cmd_check(args):
-    _threads_from_env(args.threads)
     out_dir = _out_from_env(args.out) or "runs-check"
     names = list(CHECKS) if args.suite == "all" else [args.suite]
     for name in names:
@@ -216,13 +205,11 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("check", help="run acceptance scenario presets")
     p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("transform", help="transform a stored state snapshot")

@@ -1,6 +1,7 @@
 """Time-series diagnostics: CSV ledger and frequency/damping fits."""
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +44,19 @@ class DiagnosticsSeries:
         header, body = rows[0], rows[1:]
         if header[0] != "time":
             raise ValueError("first CSV column must be 'time'")
-        data = np.array([[float(c) for c in row] for row in body])
+        data = np.array([[float(c) for c in row] for row in body],
+                        dtype=float).reshape(-1, len(header))
         return cls(data[:, 0], {name: data[:, 1 + j]
                                 for j, name in enumerate(header[1:])})
 
 
 @dataclass
 class DiagnosticsRecorder:
-    """Row-by-row accumulator for a fixed set of column names."""
+    """Row-by-row accumulator for a fixed set of column names.
+
+    A row with a non-finite value is rejected when it is added, so a run
+    stops at the step where the value appears.
+    """
 
     names: tuple
     _time: list = field(default_factory=list)
@@ -60,11 +66,15 @@ class DiagnosticsRecorder:
         if set(values) != set(self.names):
             raise ValueError(
                 f"row keys {sorted(values)} != declared {sorted(self.names)}")
+        row = [float(values[k]) for k in self.names]
+        for name, value in zip(self.names, row):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name} = {value!r} at t = {t!r}")
         self._time.append(float(t))
-        self._rows.append([float(values[k]) for k in self.names])
+        self._rows.append(row)
 
     def series(self) -> DiagnosticsSeries:
-        rows = np.asarray(self._rows)
+        rows = np.asarray(self._rows, dtype=float).reshape(-1, len(self.names))
         return DiagnosticsSeries(
             np.asarray(self._time),
             {name: rows[:, j] for j, name in enumerate(self.names)})

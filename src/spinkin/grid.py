@@ -1,6 +1,7 @@
 """Periodic 1D spatial grid and spectral derivative helpers."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,12 @@ class SpatialGrid1D:
     def x(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        """FFT-ordered wavenumbers 2*pi*m/L."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """FFT-ordered wavenumbers 2*pi*m/L (computed once, read-only)."""
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        k.flags.writeable = False
+        return k
 
     def derivative(self, u, order=1):
         """Spectral derivative of a (possibly complex) periodic field.

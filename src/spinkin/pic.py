@@ -5,9 +5,12 @@ a statistical weight.  The pusher is a Boris scheme with the magnetic
 rotation applied at the exact angle, the spin-gradient force added as
 half-kicks, and the spin advanced by exact rotation, so gyro-frequency
 and |s_hat| = 1 hold to rounding.  Gather and deposit share the linear
-cloud-in-cell shape function.
+cloud-in-cell shape function (Birdsall & Langdon), evaluated once per set
+of positions: the ensemble caches it, so a step's charge deposit and the
+next push's gather of every nonzero field row use one evaluation.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,18 +21,31 @@ from .params import PlasmaParams
 from .rotation import rodrigues_rotate
 
 
+def _check_unit_spins(s_hat):
+    mag = np.sqrt(np.einsum("pa,pa->p", s_hat, s_hat))
+    if np.max(np.abs(mag - 1.0)) > 1e-12:
+        raise ValueError("spin directions must be unit vectors")
+
+
 @dataclass
 class ParticleEnsemble:
-    """Arrays of particle coordinates: x (N,), v (N, 3), s_hat (N, 3), w (N,)."""
+    """Arrays of particle coordinates: x (N,), v (N, 3), s_hat (N, 3), w (N,).
+
+    x is wrapped into [0, L) and made read-only, so the cached shape
+    function of `cic` cannot go stale under an in-place edit; assign a new
+    array (or build a new ensemble) to move particles.
+    """
 
     grid: SpatialGrid1D
     x: np.ndarray
     v: np.ndarray
     s_hat: np.ndarray
     w: np.ndarray
+    _shape: tuple = dataclasses.field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
-        self.x = np.mod(np.asarray(self.x, dtype=float), self.grid.length)
+        self.x = self._wrap(self.x)
         self.v = np.asarray(self.v, dtype=float)
         self.s_hat = np.asarray(self.s_hat, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
@@ -38,34 +54,71 @@ class ParticleEnsemble:
             raise ValueError("inconsistent particle array shapes")
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
-        mag = np.linalg.norm(self.s_hat, axis=1)
-        if np.max(np.abs(mag - 1.0)) > 1e-12:
-            raise ValueError("spin directions must be unit vectors")
+        _check_unit_spins(self.s_hat)
+
+    def _wrap(self, x):
+        """Read-only copy of x mapped into [0, L) as np.mod does."""
+        x = np.array(x, dtype=float)
+        # np.mod leaves in-range values as they are; it costs more than
+        # the test, and a step moves few particles across the boundary
+        outside = (x < 0) | (x >= self.grid.length)
+        if outside.any():
+            x[outside] = np.mod(x[outside], self.grid.length)
+        x.flags.writeable = False
+        return x
+
+    def _advanced(self, x, v, s_hat):
+        """Successor built by the pusher, skipping the constructor.
+
+        Shapes and weights are those of self (w is shared); x is wrapped.
+        A rotated spin array is re-checked against the |s_hat| = 1 guard.
+        """
+        out = object.__new__(type(self))
+        out.grid, out.w, out._shape = self.grid, self.w, None
+        out.x, out.v, out.s_hat = out._wrap(x), v, s_hat
+        if s_hat is not self.s_hat:
+            _check_unit_spins(s_hat)
+        return out
 
     @property
     def n_particles(self) -> int:
         return self.x.shape[0]
 
+    def cic(self):
+        """Cloud-in-cell (i0, i1, w0, w1) of the current positions, cached."""
+        if self._shape is None or self._shape[0] is not self.x:
+            self._shape = (self.x, _cic(self.x, self.grid))
+        return self._shape[1]
+
 
 def _cic(x, grid: SpatialGrid1D):
     """Cloud-in-cell node indices and weights for positions x."""
     xi = x / grid.dx
-    i0 = np.floor(xi).astype(int) % grid.n
-    frac = xi - np.floor(xi)
+    cell = np.floor(xi)
+    i0 = cell.astype(int) % grid.n
+    frac = xi - cell
     i1 = (i0 + 1) % grid.n
     return i0, i1, 1.0 - frac, frac
 
 
-def gather(field, x, grid: SpatialGrid1D):
-    """Linear interpolation of a nodal field (last axis = grid) to positions."""
-    i0, i1, w0, w1 = _cic(x, grid)
-    field = np.asarray(field)
-    return field[..., i0] * w0 + field[..., i1] * w1
+def gather(field, x, grid: SpatialGrid1D, shape=None):
+    """Linear interpolation of a nodal field (last axis = grid) to positions.
+
+    `shape` is `_cic(x, grid)` when the caller already has it
+    (`ParticleEnsemble.cic`).
+    """
+    i0, i1, w0, w1 = _cic(x, grid) if shape is None else shape
+    return (np.take(field, i0, axis=-1) * w0
+            + np.take(field, i1, axis=-1) * w1)
 
 
-def _spin_force(ens, dB, grid):
-    """x-acceleration -mu_B/m * d(B.s_hat)/dx per particle (mu_B/m applied by caller)."""
-    return np.einsum("ap,pa->p", gather(dB, ens.x, grid), ens.s_hat)
+def _spin_force(dB_p, s_hat):
+    """x-acceleration -mu_B/m * d(B.s_hat)/dx per particle (mu_B/m applied by caller).
+
+    dB_p holds the gathered nonzero rows of dB/dx and s_hat the matching
+    spin columns.
+    """
+    return np.einsum("ap,pa->p", dB_p, s_hat)
 
 
 def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
@@ -74,7 +127,9 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
 
     Velocity sequence: half electric + spin-force kick, exact-angle
     magnetic rotation, second half kick; then position drift and spin
-    rotation about B at 2 mu_B |B| / hbar.
+    rotation about B at 2 mu_B |B| / hbar.  The nonzero rows of E, B and
+    dB/dx are gathered together in one call, and the spin force, which
+    both half kicks take at the old x and s_hat, is evaluated once.
     """
     grid = ens.grid
     e, m = params.charge, params.mass
@@ -87,31 +142,54 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
     dB = fs.metadata.get("dB_nodes")
     if dB is None:
         dB = grid.derivative(B_nodes)
-    E_p = gather(fs.E, ens.x, grid).T            # (N, 3)
-    has_B = bool(np.any(B_nodes))
-    has_dB = bool(np.any(dB))
-    B_p = gather(B_nodes, ens.x, grid).T if has_B else None
+    E_rows = np.flatnonzero(np.any(fs.E, axis=1))
+    B_rows = np.flatnonzero(np.any(B_nodes, axis=1))
+    dB_rows = np.flatnonzero(np.any(dB, axis=1))
+    rows = np.concatenate([fs.E[E_rows], B_nodes[B_rows], dB[dB_rows]])
+    E_g, B_g, dB_g = np.split(gather(rows, ens.x, grid, ens.cic()),
+                              [len(E_rows), len(E_rows) + len(B_rows)])
+    E_kick = (-e / m) * E_g * dt / 2
+    spin_kick = None
+    if len(dB_rows):
+        spin_kick = ((-params.mu_B / m) * _spin_force(dB_g, ens.s_hat[:, dB_rows])
+                     * dt / 2)
 
     def half_kick(v):
-        out = v + (-e / m) * E_p * dt / 2
-        if has_dB:
-            out[:, 0] += (-params.mu_B / m) * _spin_force(ens, dB, grid) * dt / 2
-        return out
+        for a, kick in zip(E_rows, E_kick):
+            v[:, a] += kick
+        if spin_kick is not None:
+            v[:, 0] += spin_kick
 
-    v = half_kick(ens.v)
-    if has_B:
+    v = ens.v.copy()
+    half_kick(v)
+    s_new = ens.s_hat
+    if len(B_rows):
+        B_p = np.zeros((ens.n_particles, 3))
+        B_p[:, B_rows] = B_g.T
         # electron charge -e: dv/dt = (e/m) B x v, rotation about B_hat
         Bmag = np.linalg.norm(B_p, axis=1)
         v = rodrigues_rotate(v, B_p, (e / m) * Bmag * dt)
-    v = half_kick(v)
-
-    x_new = ens.x + v[:, 0] * dt
-    if has_B:
         s_new = rodrigues_rotate(ens.s_hat, B_p,
                                  (2 * params.mu_B / params.hbar) * Bmag * dt)
-    else:
-        s_new = ens.s_hat
-    return ParticleEnsemble(grid, x_new, v, s_new, ens.w)
+    half_kick(v)
+    return ens._advanced(ens.x + v[:, 0] * dt, v, s_new)
+
+
+def _accumulate(ens: ParticleEnsemble, values):
+    """sum_i values_i S_j(x_i) per node j, from the cached CIC shape.
+
+    One bincount over the i0 then the i1 contributions adds them per node
+    in the order sequential scatter-adds would.
+    """
+    i0, i1, w0, w1 = ens.cic()
+    return np.bincount(np.concatenate([i0, i1]),
+                       np.concatenate([values * w0, values * w1]),
+                       minlength=ens.grid.n)
+
+
+def deposit_charge(ens: ParticleEnsemble, params: PlasmaParams):
+    """Charge density rho_c = -e sum w S(x - x_i) on the grid nodes."""
+    return _accumulate(ens, ens.w) * (-params.charge / ens.grid.dx)
 
 
 def deposit_sources(ens: ParticleEnsemble, grid: SpatialGrid1D,
@@ -123,19 +201,13 @@ def deposit_sources(ens: ParticleEnsemble, grid: SpatialGrid1D,
     second angular moment of the spin distribution; the bound current is
     the 1D curl of M.
     """
-    i0, i1, w0, w1 = _cic(ens.x, grid)
-
-    def accumulate(values):
-        out = np.zeros(grid.n)
-        np.add.at(out, i0, values * w0)
-        np.add.at(out, i1, values * w1)
-        return out / grid.dx
-
-    rho_c = -params.charge * accumulate(ens.w)
-    j_free = -params.charge * np.array([accumulate(ens.w * ens.v[:, a])
-                                        for a in range(3)])
-    M = -3 * params.mu_B * np.array([accumulate(ens.w * ens.s_hat[:, a])
-                                     for a in range(3)])
+    if grid != ens.grid:
+        raise ValueError("deposit grid differs from the ensemble's grid")
+    rho_c = deposit_charge(ens, params)
+    j_free = np.array([_accumulate(ens, ens.w * ens.v[:, a])
+                       for a in range(3)]) * (-params.charge / grid.dx)
+    M = np.array([_accumulate(ens, ens.w * ens.s_hat[:, a])
+                  for a in range(3)]) * (-3 * params.mu_B / grid.dx)
     return rho_c, j_free, M, bound_current(M, grid, curl_scheme)
 
 

@@ -21,7 +21,13 @@ from .fields import FieldState, external_profiles, field_energy, solve_poisson
 from .fluid import FluidState, step_fluid
 from .grid import SpatialGrid1D
 from .params import PlasmaParams
-from .pic import ParticleEnsemble, deposit_sources, load_particles, push_particles
+from .pic import (
+    ParticleEnsemble,
+    deposit_charge,
+    deposit_sources,
+    load_particles,
+    push_particles,
+)
 from .snapshots import write_snapshot
 from .sphere import SphereQuadrature
 
@@ -53,7 +59,8 @@ class Scenario:
 
 def _spin_stats(s_hat):
     mean = np.mean(s_hat, axis=0)
-    dev = float(np.max(np.abs(np.linalg.norm(s_hat, axis=1) - 1.0)))
+    norm = np.sqrt(np.einsum("pa,pa->p", s_hat, s_hat))
+    dev = float(np.max(np.abs(norm - 1.0)))
     return mean, dev
 
 
@@ -77,7 +84,7 @@ def _precession_step(state, dt):
 def _particle_diagnose(state):
     ens, params = state["ens"], state["params"]
     mean_s, dev = _spin_stats(ens.s_hat)
-    kinetic = 0.5 * params.mass * float(np.sum(ens.w * np.sum(ens.v**2, axis=1)))
+    kinetic = 0.5 * params.mass * float(np.einsum("p,pa,pa->", ens.w, ens.v, ens.v))
     charge = -params.charge * float(np.sum(ens.w))
     return dict(kinetic_energy=kinetic,
                 field_energy=field_energy(state["fs"], params),
@@ -117,13 +124,7 @@ def _plasma_setup(cfg):
 def _plasma_fields(state):
     ens, params = state["ens"], state["params"]
     # charge-only deposit (the full source deposit is done for snapshots)
-    from .pic import _cic
-
-    i0, i1, w0, w1 = _cic(ens.x, ens.grid)
-    rho_c = np.zeros(ens.grid.n)
-    np.add.at(rho_c, i0, ens.w * w0)
-    np.add.at(rho_c, i1, ens.w * w1)
-    rho_c *= -params.charge / ens.grid.dx
+    rho_c = deposit_charge(ens, params)
     rho_c -= np.mean(rho_c)                 # neutralizing ion background
     phi, E_x = solve_poisson(rho_c, ens.grid, params)
     state["fs"].E[0] = E_x
@@ -293,18 +294,23 @@ def _run_directory(cfg: RunConfig, out_dir=None):
     stem = f"{cfg.scenario}-seed{cfg.seed}"
     path = os.path.join(base, stem)
     suffix = 0
-    while os.path.exists(path):
-        suffix += 1
-        path = os.path.join(base, f"{stem}-{suffix}")
-    os.makedirs(path)
-    return path
+    # makedirs itself is the existence test, so concurrent runs with the
+    # same stem cannot both claim one directory
+    while True:
+        try:
+            os.makedirs(path)
+            return path
+        except FileExistsError:
+            suffix += 1
+            path = os.path.join(base, f"{stem}-{suffix}")
 
 
 def run_case(cfg: RunConfig, out_dir=None):
     """Execute one configured scenario; returns (run_dir, status).
 
-    status is "completed" or "aborted: <reason>"; on abort every file
-    written so far, including the last cadence snapshot, is preserved.
+    status is "completed" or "aborted: <reason> (step <k>)"; on abort every
+    file written so far, including the last cadence snapshot, is
+    preserved, and diagnostics.csv and run.json are written in any case.
     """
     if cfg.scenario not in SCENARIOS:
         raise ValueError(
@@ -315,8 +321,6 @@ def run_case(cfg: RunConfig, out_dir=None):
     cfg.dump(os.path.join(run_dir, "config.json"))
 
     rec = DiagnosticsRecorder(scenario.columns)
-    status = "completed"
-    state = scenario.setup(cfg)
 
     def snap(step, name):
         arr, axes = scenario.snapshot(state)
@@ -327,7 +331,9 @@ def run_case(cfg: RunConfig, out_dir=None):
     # times per run (replaced atomically, so an abort inside a later step
     # still leaves the last valid one)
     snap_every = cfg.cadence * max(1, (cfg.n_steps // cfg.cadence) // 20)
+    step = 0
     try:
+        state = scenario.setup(cfg)
         rec.add(0.0, **scenario.diagnose(state))
         snap(0, "snap_initial")
         for step in range(1, cfg.n_steps + 1):
@@ -336,15 +342,19 @@ def run_case(cfg: RunConfig, out_dir=None):
                 rec.add(step * cfg.dt, **scenario.diagnose(state))
             if step % snap_every == 0:
                 snap(step, "snap_last")
+        status = "completed"
     except ValueError as exc:
-        status = f"aborted: {exc}"
-
-    rec.series().write_csv(os.path.join(run_dir, "diagnostics.csv"))
-    manifest = {"format_version": FORMAT_VERSION,
-                "code_version": _code_version(),
-                "status": status,
-                "scenario": cfg.scenario}
-    with open(os.path.join(run_dir, "run.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        status = f"aborted: {exc} (step {step})"
+    except BaseException as exc:
+        status = f"failed: {type(exc).__name__}: {exc} (step {step})"
+        raise
+    finally:
+        rec.series().write_csv(os.path.join(run_dir, "diagnostics.csv"))
+        manifest = {"format_version": FORMAT_VERSION,
+                    "code_version": _code_version(),
+                    "status": status,
+                    "scenario": cfg.scenario}
+        with open(os.path.join(run_dir, "run.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return run_dir, status

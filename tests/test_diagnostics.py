@@ -40,6 +40,16 @@ class TestSeries:
         s = rec.series()
         assert np.array_equal(s.columns["b"], [2.0, 3.0])
 
+    def test_recorder_rejects_non_finite_row(self, tmp_path):
+        rec = DiagnosticsRecorder(("a", "b"))
+        with pytest.raises(ValueError, match="non-finite b"):
+            rec.add(0.0, a=1.0, b=np.nan)
+        # the rejected row is not kept; an empty ledger still round-trips
+        path = tmp_path / "d.csv"
+        rec.series().write_csv(path)
+        again = DiagnosticsSeries.read_csv(path)
+        assert again.time.shape == (0,) and again.columns["b"].shape == (0,)
+
 
 class TestFitFrequency:
     def test_pure_cosine_recovered_to_1e6(self):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinkin import pic
+from spinkin.config import config_from_dict
 from spinkin.fields import FieldState, external_profiles
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.pic import (
     ParticleEnsemble,
+    deposit_charge,
     deposit_sources,
     fibonacci_sphere,
     gather,
@@ -213,3 +218,171 @@ class TestValidation:
         field = 2.0 + 0.0 * grid.x
         vals = gather(field, np.array([3.14, 7.5]), grid)
         assert np.max(np.abs(vals - 2.0)) < 1e-14
+
+
+def add_at_deposit(ens, values):
+    """Scatter-add CIC reference: sum_i values_i S_j(x_i) per node j."""
+    grid = ens.grid
+    xi = ens.x / grid.dx
+    i0 = np.floor(xi).astype(int) % grid.n
+    frac = xi - np.floor(xi)
+    out = np.zeros(grid.n)
+    np.add.at(out, i0, values * (1.0 - frac))
+    np.add.at(out, (i0 + 1) % grid.n, values * frac)
+    return out
+
+
+def reference_push(ens, fs, params, dt):
+    """Boris step gathering each field on its own, spin force per half kick."""
+    grid = ens.grid
+    e, m = params.charge, params.mass
+    B_nodes = fs.b_nodes()
+    dB = fs.metadata.get("dB_nodes")
+    if dB is None:
+        dB = grid.derivative(B_nodes)
+    E_p = gather(fs.E, ens.x, grid).T
+    B_p = gather(B_nodes, ens.x, grid).T
+
+    def half_kick(v):
+        force = np.einsum("ap,pa->p", gather(dB, ens.x, grid), ens.s_hat)
+        out = v + (-e / m) * E_p * dt / 2
+        out[:, 0] += (-params.mu_B / m) * force * dt / 2
+        return out
+
+    Bmag = np.linalg.norm(B_p, axis=1)
+    v = half_kick(ens.v)
+    v = pic.rodrigues_rotate(v, B_p, (e / m) * Bmag * dt)
+    v = half_kick(v)
+    s_new = pic.rodrigues_rotate(ens.s_hat, B_p,
+                                 (2 * params.mu_B / params.hbar) * Bmag * dt)
+    return np.mod(ens.x + v[:, 0] * dt, grid.length), v, s_new
+
+
+def random_ensemble(grid, n, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n, 3))
+    s /= np.linalg.norm(s, axis=1)[:, None]
+    x = rng.uniform(0, grid.length, n)
+    x[:2] = [0.0, grid.length - 1e-15]        # both sides of the wrap edge
+    return ParticleEnsemble(grid, x, rng.normal(size=(n, 3)) * 0.3, s,
+                            rng.uniform(0.5, 1.5, n))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    orig = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def tilted_fields(grid):
+    fs = FieldState(grid)
+    fs.E[0] = 0.2 * np.sin(grid.x)
+    fs.E[1] = 0.1
+    fs.E[2] = 0.05 * np.cos(2 * grid.x)
+    fs.B[0] = 0.3
+    fs.B[1] = 0.1 * np.cos(grid.x)
+    fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
+    fs.metadata["staggered"] = False
+    return fs
+
+
+def gradient_fields(grid):
+    fs = external_profiles("gradient_B", dict(B0=0.5, B1=0.1), grid)
+    fs.E[0] = 0.2 * np.sin(grid.x)
+    return fs
+
+
+class TestFusedStep:
+    def test_bincount_deposit_matches_scatter_add(self):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        ens = random_ensemble(grid, 500, seed=1)
+        rho, j_free, M, _ = deposit_sources(ens, grid, PARAMS)
+        cases = [(rho, -PARAMS.charge * ens.w),
+                 (deposit_charge(ens, PARAMS), -PARAMS.charge * ens.w)]
+        cases += [(j_free[a], -PARAMS.charge * ens.w * ens.v[:, a])
+                  for a in range(3)]
+        cases += [(M[a], -3 * PARAMS.mu_B * ens.w * ens.s_hat[:, a])
+                  for a in range(3)]
+        for got, values in cases:
+            ref = add_at_deposit(ens, values) / grid.dx
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_shape_follows_reassigned_positions(self):
+        grid = SpatialGrid1D(32, 10.0)
+        ens = single_particle(grid, x=1.0)
+        deposit_charge(ens, PARAMS)
+        with pytest.raises(ValueError):
+            ens.x[0] = 3.37             # in place would leave a stale shape
+        ens.x = np.array([3.37])
+        ref = add_at_deposit(ens, -PARAMS.charge * ens.w) / grid.dx
+        assert np.max(np.abs(deposit_charge(ens, PARAMS) - ref)) < 1e-14
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-20.0, 20.0),
+                              st.floats(1e-3, 1e3)),
+                    min_size=1, max_size=40))
+    def test_deposited_charge_integrates_to_total(self, particles):
+        grid = SpatialGrid1D(16, 5.0)
+        x, w = np.array(particles).T
+        n = len(w)
+        ens = ParticleEnsemble(grid, x, np.zeros((n, 3)),
+                               np.tile([0.0, 0.0, 1.0], (n, 1)), w)
+        total = -PARAMS.charge * np.sum(w)
+        assert abs(grid.integrate(deposit_charge(ens, PARAMS)) - total) \
+            <= 1e-12 * abs(total)
+
+    @pytest.mark.parametrize("fields", [tilted_fields, gradient_fields])
+    def test_single_gather_push_matches_per_component_push(self, fields):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        fs = fields(grid)
+        ens = random_ensemble(grid, 200, seed=2)
+        for _ in range(5):
+            x_ref, v_ref, s_ref = reference_push(ens, fs, PARAMS, 0.05)
+            ens = push_particles(ens, fs, PARAMS, 0.05)
+            assert np.max(np.abs(ens.x - x_ref)) <= 1e-14 * grid.length
+            assert np.max(np.abs(ens.v - v_ref)) <= 1e-14
+            assert np.max(np.abs(ens.s_hat - s_ref)) <= 1e-14
+
+    def test_push_skips_constructor_but_keeps_spin_guard(self, monkeypatch):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        fs = tilted_fields(grid)
+        ens = random_ensemble(grid, 50, seed=3)
+        inits = counting(monkeypatch, ParticleEnsemble, "__post_init__")
+        for _ in range(3):
+            ens = push_particles(ens, fs, PARAMS, 0.05)
+        assert inits == []
+        assert np.all((ens.x >= 0) & (ens.x < grid.length))
+        rotate = pic.rodrigues_rotate
+        monkeypatch.setattr(pic, "rodrigues_rotate",
+                            lambda v, axis, angle: 2 * rotate(v, axis, angle))
+        with pytest.raises(ValueError, match="unit vectors"):
+            push_particles(ens, fs, PARAMS, 0.05)
+        assert inits == []
+
+    def test_one_spin_force_and_one_gather_per_push(self, monkeypatch):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        fs = gradient_fields(grid)
+        ens = random_ensemble(grid, 50, seed=4)
+        forces = counting(monkeypatch, pic, "_spin_force")
+        gathers = counting(monkeypatch, pic, "gather")
+        for _ in range(4):
+            ens = push_particles(ens, fs, PARAMS, 0.05)
+        assert len(forces) == 4 and len(gathers) == 4
+
+    def test_one_shape_evaluation_per_plasma_step(self, monkeypatch, tmp_path):
+        from spinkin.scenarios import run_case
+
+        shapes = counting(monkeypatch, pic, "_cic")
+        cfg = config_from_dict(dict(scenario="plasma_osc", n_x=16,
+                                    n_particles=400, dt=0.1, t_end=2.0))
+        _, status = run_case(cfg, out_dir=str(tmp_path))
+        assert status == "completed"
+        # setup deposit + one per step; pushes and snapshots reuse them
+        assert len(shapes) == cfg.n_steps + 1

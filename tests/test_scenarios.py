@@ -45,6 +45,17 @@ class TestRunDirectory:
         with pytest.raises(ValueError, match="unknown scenario"):
             run(tmp_path, scenario="warp_drive")
 
+    def test_directory_claimed_atomically(self, tmp_path, monkeypatch):
+        # another run creates the directory between any existence check
+        # and makedirs; the loser must move on to the next suffix
+        (tmp_path / "precession-seed0").mkdir()
+        (tmp_path / "precession-seed0-1").mkdir()
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        d, status = run(tmp_path, scenario="precession", B0=0.5,
+                        n_particles=20, n_x=8, dt=0.1, t_end=0.2)
+        assert status == "completed"
+        assert d == str(tmp_path / "precession-seed0-2")
+
 
 class TestDeterminism:
     def test_identical_config_gives_identical_csv(self, tmp_path):
@@ -72,6 +83,18 @@ class TestAbortSafety:
         assert len(series_of(d).time) == 1
         leftovers = [f for f in os.listdir(d) if f.startswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_diagnostic_aborts_at_its_step(self, tmp_path):
+        # one particle leaves the spin-up beam empty: v_up is NaN at t = 0
+        d, status = run(tmp_path, scenario="stern_gerlach", n_particles=1,
+                        B0=0.0, B1=0.1, n_x=32, dt=0.02, t_end=2.0)
+        assert status.startswith("aborted: non-finite v_up")
+        assert status.endswith("(step 0)")
+        manifest = json.load(open(os.path.join(d, "run.json")))
+        assert manifest["status"] == status
+        assert len(series_of(d).time) == 0
 
 
 class TestScenarioPhysics:
