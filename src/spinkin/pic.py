@@ -31,9 +31,10 @@ def _check_unit_spins(s_hat):
 class ParticleEnsemble:
     """Arrays of particle coordinates: x (N,), v (N, 3), s_hat (N, 3), w (N,).
 
-    x is wrapped into [0, L) and made read-only, so the cached shape
-    function of `cic` cannot go stale under an in-place edit; assign a new
-    array (or build a new ensemble) to move particles.
+    Every assignment to x, in the constructor or later, wraps it into
+    [0, L), makes it read-only and drops the cached shape function of
+    `cic`, so the cache cannot go stale: move particles by assigning a
+    new x array (or building a new ensemble), not by editing x in place.
     """
 
     grid: SpatialGrid1D
@@ -44,8 +45,14 @@ class ParticleEnsemble:
     _shape: tuple = dataclasses.field(default=None, init=False, repr=False,
                                       compare=False)
 
+    def __setattr__(self, name, value):
+        if name == "x":
+            value = np.mod(np.asarray(value, dtype=float), self.grid.length)
+            value.flags.writeable = False
+            object.__setattr__(self, "_shape", None)
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
-        self.x = self._wrap(self.x)
         self.v = np.asarray(self.v, dtype=float)
         self.s_hat = np.asarray(self.s_hat, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
@@ -56,26 +63,16 @@ class ParticleEnsemble:
             raise ValueError("weights must be positive")
         _check_unit_spins(self.s_hat)
 
-    def _wrap(self, x):
-        """Read-only copy of x mapped into [0, L) as np.mod does."""
-        x = np.array(x, dtype=float)
-        # np.mod leaves in-range values as they are; it costs more than
-        # the test, and a step moves few particles across the boundary
-        outside = (x < 0) | (x >= self.grid.length)
-        if outside.any():
-            x[outside] = np.mod(x[outside], self.grid.length)
-        x.flags.writeable = False
-        return x
-
     def _advanced(self, x, v, s_hat):
         """Successor built by the pusher, skipping the constructor.
 
-        Shapes and weights are those of self (w is shared); x is wrapped.
-        A rotated spin array is re-checked against the |s_hat| = 1 guard.
+        Shapes and weights are those of self (w is shared); x is wrapped
+        on assignment.  A rotated spin array is re-checked against the
+        |s_hat| = 1 guard.
         """
         out = object.__new__(type(self))
-        out.grid, out.w, out._shape = self.grid, self.w, None
-        out.x, out.v, out.s_hat = out._wrap(x), v, s_hat
+        out.grid, out.w = self.grid, self.w
+        out.x, out.v, out.s_hat = x, v, s_hat
         if s_hat is not self.s_hat:
             _check_unit_spins(s_hat)
         return out
@@ -86,9 +83,9 @@ class ParticleEnsemble:
 
     def cic(self):
         """Cloud-in-cell (i0, i1, w0, w1) of the current positions, cached."""
-        if self._shape is None or self._shape[0] is not self.x:
-            self._shape = (self.x, _cic(self.x, self.grid))
-        return self._shape[1]
+        if self._shape is None:
+            self._shape = _cic(self.x, self.grid)
+        return self._shape
 
 
 def _cic(x, grid: SpatialGrid1D):
@@ -199,10 +196,11 @@ def deposit_sources(ens: ParticleEnsemble, grid: SpatialGrid1D,
     rho_c = -e sum w S(x - x_i); j_free carries the particle velocities;
     M = -3 mu_B sum w s_hat S(x - x_i), the factor 3 coming from the
     second angular moment of the spin distribution; the bound current is
-    the 1D curl of M.
+    the 1D curl of M.  Everything is deposited on ens.grid, where the
+    cached shape function lives; `grid` is redundant with it and is kept
+    only so existing calls `deposit_sources(ens, ens.grid, params)` work.
     """
-    if grid != ens.grid:
-        raise ValueError("deposit grid differs from the ensemble's grid")
+    grid = ens.grid
     rho_c = deposit_charge(ens, params)
     j_free = np.array([_accumulate(ens, ens.w * ens.v[:, a])
                        for a in range(3)]) * (-params.charge / grid.dx)

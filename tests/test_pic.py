@@ -320,7 +320,10 @@ class TestFusedStep:
         deposit_charge(ens, PARAMS)
         with pytest.raises(ValueError):
             ens.x[0] = 3.37             # in place would leave a stale shape
-        ens.x = np.array([3.37])
+        ens.x = np.array([13.37])       # reassignment wraps and stays read-only
+        assert abs(ens.x[0] - 3.37) < 1e-12
+        with pytest.raises(ValueError):
+            ens.x[0] = 1.0
         ref = add_at_deposit(ens, -PARAMS.charge * ens.w) / grid.dx
         assert np.max(np.abs(deposit_charge(ens, PARAMS) - ref)) < 1e-14
 
