@@ -9,7 +9,7 @@ exactly.
 import json
 from dataclasses import asdict, dataclass
 
-BACKENDS = ("pic", "eulerian", "fluid", "oracle")
+BACKENDS = ("pic", "eulerian", "fluid")
 
 # key -> (python type(s), range description, validator, default)
 _POSITIVE = ("> 0", lambda v: v > 0)

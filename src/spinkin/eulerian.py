@@ -4,9 +4,11 @@ Transport follows the semiclassical kinetic equation with optional
 quantum spin-velocity coupling: x and v advections are conservative
 MUSCL finite-volume sweeps (monotonized-central limiter, or unlimited
 Fromm slopes for convergence studies), and the spin sector rotates about
-the local magnetic field by exact spectral or spherical-harmonic
-interpolation.  Velocity space is 1V (electrostatic) or 2V (magnetized,
-B along z).
+the local magnetic field: by an exact spectral shift in phi when B is
+along z, otherwise by Legendre-kernel resampling at the rotated nodes
+(the addition-theorem form of spherical-harmonic interpolation, see
+`SphereQuadrature.rotation_interp_matrices`).  Velocity space is 1V
+(electrostatic) or 2V (magnetized, B along z).
 """
 
 from dataclasses import dataclass
@@ -82,55 +84,95 @@ def uniform_velocity_axis(n_v, v_max) -> np.ndarray:
     return -v_max + (np.arange(n_v) + 0.5) * dv
 
 
-def _mc_slope(qm, q, qp):
-    s1 = qp - q
-    s2 = q - qm
-    mono = s1 * s2 > 0
-    return np.where(mono, np.sign(s1) * np.minimum(
-        np.minimum(2 * np.abs(s1), 2 * np.abs(s2)), 0.5 * np.abs(s1 + s2)), 0.0)
+def _mc_slope(qp):
+    """Monotonized-central slopes of cells 1..n-2 of qp along axis 1.
+
+    With one-sided differences s1, s2 the slope is
+    sign(s1) min(2|s1|, 2|s2|, |s1 + s2| / 2) where they agree in sign and
+    zero otherwise; (sign s1 + sign s2) min(|s1|, |s2|, |s1 + s2| / 4) is
+    the same number (scaling by 2 is exact) up to the sign of a zero.
+    """
+    d = np.diff(qp, axis=1)
+    sign = np.sign(d)
+    factor = sign[:, 1:] + sign[:, :-1]
+    a = np.abs(d)
+    lim = np.minimum(a[:, 1:], a[:, :-1])
+    centered = d[:, 1:] + d[:, :-1]
+    np.abs(centered, out=centered)
+    centered *= 0.25
+    np.minimum(lim, centered, out=lim)
+    lim *= factor
+    return lim
+
+
+# cells per block swept together: small enough that a block's temporaries
+# stay in cache
+_BLOCK_CELLS = 1 << 14
 
 
 def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     """Conservative MUSCL update of one axis; speed is constant along it.
 
-    speed broadcasts over the remaining axes.  Boundary cells are periodic
-    or zero-inflow.  limiter 'mc' is TVD; 'none' uses Fromm slopes for
-    clean second-order convergence measurements.
+    speed broadcasts against values (numpy rules) and must have size 1 on
+    `axis`: one speed per line being swept.  A speed that varies along
+    `axis` raises ValueError.  Boundary cells are periodic or zero-inflow.
+    limiter 'mc' is TVD; 'none' uses Fromm slopes for clean second-order
+    convergence measurements.  Lines are swept in cache-sized blocks; a
+    line's update does not depend on the blocking.
     """
-    q = np.moveaxis(values, axis, 0)
-    u = np.broadcast_to(np.moveaxis(np.asarray(speed, dtype=float), axis, 0)
-                        if np.ndim(speed) == values.ndim else speed,
-                        q.shape)
-    n = q.shape[0]
-    if periodic:
-        qp = np.concatenate([q[-2:], q, q[:2]], axis=0)
-        up = np.concatenate([u[-2:], u, u[:2]], axis=0)
-    else:
-        zeros = np.zeros_like(q[:2])
-        qp = np.concatenate([zeros, q, zeros], axis=0)
-        up = np.concatenate([u[:1], u[:1], u, u[-1:], u[-1:]], axis=0)
-
-    if limiter == "mc":
-        sigma = _mc_slope(qp[:-2], qp[1:-1], qp[2:])
-    elif limiter == "none":
-        sigma = (qp[2:] - qp[:-2]) / 2
-    else:
+    values = np.ascontiguousarray(values, dtype=float)
+    u = np.asarray(speed, dtype=float)
+    u = u.reshape((1,) * (values.ndim - u.ndim) + u.shape)
+    if u.ndim != values.ndim or u.shape[axis] != 1:
+        raise ValueError(
+            f"speed of shape {np.shape(speed)} must have size 1 on axis "
+            f"{axis} of values with shape {values.shape}")
+    if limiter not in ("mc", "none"):
         raise ValueError("limiter must be 'mc' or 'none'")
-    # padded cells 0..n+3, slopes for cells 1..n+2; faces k between cells
-    # k+1 and k+2 for k = 0..n
-    nu = up * dt / h
-    uf = up[1:-2]                      # speed at upwind-left cell of each face
-    pos = uf >= 0
-    f_pos = uf * (qp[1:-2] + 0.5 * (1 - nu[1:-2]) * sigma[:-1])
-    un = up[2:-1]
-    f_neg = un * (qp[2:-1] - 0.5 * (1 + nu[2:-1]) * sigma[1:])
-    flux = np.where(pos, f_pos, f_neg)
-    out = q - dt / h * (flux[1:] - flux[:-1])
-    return np.moveaxis(out, 0, axis)
+    # lines run along axis 1 of (rows, n, cols), a view of C-ordered values
+    n = values.shape[axis]
+    rows = int(np.prod(values.shape[:axis]))
+    cols = int(np.prod(values.shape[axis + 1:]))
+    q = values.reshape(rows, n, cols)
+    u = np.broadcast_to(u, (*values.shape[:axis], 1, *values.shape[axis + 1:]))
+    u = u.reshape(rows, 1, cols)
+    out = np.empty_like(q)
+    row_step = max(1, _BLOCK_CELLS // (n * cols))
+    col_step = cols if row_step > 1 else max(1, _BLOCK_CELLS // n)
+    for r in range(0, rows, row_step):
+        for c in range(0, cols, col_step):
+            block = (slice(r, r + row_step), slice(None), slice(c, c + col_step))
+            out[block] = _muscl_sweep(q[block], u[block], dt, h, limiter,
+                                      periodic)
+    return out.reshape(values.shape)
 
 
-def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt,
-                   lmax=None):
+def _muscl_sweep(q, u, dt, h, limiter, periodic):
+    """advect_axis along axis 1 of a (rows, n, cols) block."""
+    if periodic:
+        qp = np.concatenate([q[:, -2:], q, q[:, :2]], axis=1)
+    else:
+        zeros = np.zeros_like(q[:, :2])
+        qp = np.concatenate([zeros, q, zeros], axis=1)
+    if limiter == "mc":
+        sigma = _mc_slope(qp)
+    else:
+        sigma = (qp[:, 2:] - qp[:, :-2]) / 2
+    # padded cells 0..n+3, slopes for cells 1..n+2; face k (k = 0..n, between
+    # cells k+1 and k+2) takes the upwind reconstruction
+    nu = u * dt / h
+    from_left = 0.5 * (1 - nu) * sigma[:, :-1]
+    from_left += qp[:, 1:-2]
+    from_right = 0.5 * (1 + nu) * sigma[:, 1:]
+    np.subtract(qp[:, 2:-1], from_right, out=from_right)
+    flux = np.where(u >= 0, from_left, from_right)
+    flux *= u
+    div = np.diff(flux, axis=1)
+    div *= dt / h
+    return q - div
+
+
+def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     """Rotate the spin sector about B(x) by (2 mu_B |B| / hbar) dt."""
     Bmag = np.linalg.norm(B_nodes, axis=0)
     angle = (2 * params.mu_B / params.hbar) * Bmag * dt   # (N_x,)
@@ -147,27 +189,35 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt,
         phase = phase.reshape(phase.shape[0], *([1] * extra), quad.n_phi)
         return np.fft.ifft(fk * phase, axis=-1).real
 
-    lmax = quad.n_theta - 1 if lmax is None else lmax
-    sph = values.shape[:-2]
-    flat = values.reshape(*sph, quad.n_theta * quad.n_phi)
+    # one matrix per distinct (B, angle) node, all built in one call
+    keys, inverse = np.unique(np.column_stack([B_nodes.T, angle]), axis=0,
+                              return_inverse=True)
+    inverse = inverse.reshape(-1)
+    mats = quad.rotation_interp_matrices(keys[:, :3], keys[:, 3])
+    flat = values.reshape(values.shape[0], -1, quad.n_theta * quad.n_phi)
     out = np.empty_like(flat)
-    cache = {}
-    for ix in range(values.shape[0]):
-        key = (round(float(angle[ix]), 15), tuple(np.round(B_nodes[:, ix], 15)))
-        if key not in cache:
-            axis = B_nodes[:, ix]
-            cache[key] = quad.rotation_interp_matrix(axis, angle[ix], lmax)
-        out[ix] = flat[ix] @ cache[key].T
+    for k, mat in enumerate(mats):
+        rows = inverse == k
+        out[rows] = flat[rows] @ mat.T
     return out.reshape(values.shape)
 
 
 def _quantum_coupling(f: ExtendedDistribution, dB_nodes, params):
     """(mu_B/m) [d_x B . grad_s] f, the flux whose v-divergence is the
-    quantum correction of the kinetic equation."""
-    grad = f.quad.tangential_gradient(f.values)           # (..., t, p, 3)
-    extra = f.values.ndim - 1
-    dB = dB_nodes.T.reshape(f.grid.n, *([1] * extra), 3)
-    return (params.mu_B / params.mass) * np.sum(grad * dB, axis=-1)
+    quantum correction of the kinetic equation.
+
+    With grad_s = theta_hat (-sin theta) d/dmu + phi_hat (1/sin theta)
+    d/dphi, the contraction with d_x B needs only theta_hat . d_x B and
+    phi_hat . d_x B on (N_x, n_theta, n_phi).
+    """
+    quad = f.quad
+    sin_t = np.sqrt(1.0 - quad.mu**2)[:, None]
+    scale = params.mu_B / params.mass
+    c_mu = scale * -sin_t * np.einsum("ax,tpa->xtp", dB_nodes, quad.theta_hat)
+    c_phi = scale / sin_t * np.einsum("ax,tpa->xtp", dB_nodes, quad.phi_hat)
+    shape = (f.grid.n, *([1] * len(f.v_axes)), quad.n_theta, quad.n_phi)
+    return (c_mu.reshape(shape) * quad.dmu(f.values)
+            + c_phi.reshape(shape) * quad.dphi(f.values))
 
 
 def _v_derivative(u, axis, dv):
@@ -197,13 +247,14 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     vx = f.v_axes[0]
     dvs = f.dv
 
-    # accelerations: a_x = -(e/m)(E_x + v_y B_z) - (mu_B/m) d_x(s_hat . B)
-    extra = f.values.ndim - 1
-    dB_dot_s = np.einsum("ax,...tpa->x...tp",
-                         dB, np.broadcast_to(f.quad.s_hat,
-                                             (*f.values.shape[1:], 3)))
+    # accelerations: a_x = -(e/m)(E_x + v_y B_z) - (mu_B/m) d_x(s_hat . B),
+    # each shaped with size 1 on its own velocity axis (constant along the
+    # sweep)
+    lead = (grid.n, *([1] * len(f.v_axes)))
+    dB_dot_s = np.einsum("ax,tpa->xtp", dB, f.quad.s_hat).reshape(
+        *lead, f.quad.n_theta, f.quad.n_phi)
     a_x = -(params.mu_B / m) * dB_dot_s - (e / m) * fs.E[0].reshape(
-        grid.n, *([1] * extra))
+        *lead, 1, 1)
     if two_v:
         vy = f.v_axes[1]
         a_x = a_x - (e / m) * np.einsum(

@@ -189,16 +189,15 @@ def deposit_charge(ens: ParticleEnsemble, params: PlasmaParams):
     return _accumulate(ens, ens.w) * (-params.charge / ens.grid.dx)
 
 
-def deposit_sources(ens: ParticleEnsemble, grid: SpatialGrid1D,
-                    params: PlasmaParams, curl_scheme="spectral"):
+def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams,
+                    curl_scheme="spectral"):
     """Charge density, free current, magnetization and bound current.
 
     rho_c = -e sum w S(x - x_i); j_free carries the particle velocities;
     M = -3 mu_B sum w s_hat S(x - x_i), the factor 3 coming from the
     second angular moment of the spin distribution; the bound current is
     the 1D curl of M.  Everything is deposited on ens.grid, where the
-    cached shape function lives; `grid` is redundant with it and is kept
-    only so existing calls `deposit_sources(ens, ens.grid, params)` work.
+    cached shape function lives.
     """
     grid = ens.grid
     rho_c = deposit_charge(ens, params)

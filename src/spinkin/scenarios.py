@@ -95,7 +95,7 @@ def _particle_diagnose(state):
 
 def _particle_snapshot(state):
     ens = state["ens"]
-    rho_c, j_free, M, _ = deposit_sources(ens, ens.grid, state["params"])
+    rho_c, j_free, M, _ = deposit_sources(ens, state["params"])
     arr = np.stack([rho_c, j_free[0], M[0], M[1], M[2]])
     axes = {"channel": {"names": ["rho_c", "j_free_x", "M_x", "M_y", "M_z"]},
             "x": {"n": ens.grid.n, "spacing": ens.grid.dx, "origin": 0.0}}

@@ -91,19 +91,44 @@ class SphereQuadrature:
         f = np.asarray(f)
         return np.einsum("tp,...tp->...", self.weights, f)
 
+    @cached_property
+    def _dphi(self) -> np.ndarray:
+        """Real matrix D with f @ D the spectral d/dphi of real f.
+
+        Built by differentiating the unit vectors in Fourier space with the
+        mode n_phi // 2 dropped.
+        """
+        m = 1j * np.fft.fftfreq(self.n_phi, d=1.0 / self.n_phi)
+        m[self.n_phi // 2] = 0.0
+        eye_k = np.fft.fft(np.eye(self.n_phi), axis=-1)
+        return np.fft.ifft(eye_k * m, axis=-1).real
+
     def dmu(self, f):
         """d/dmu along the theta axis (axis -2)."""
-        return np.einsum("ts,...sp->...tp", self._dmu, np.asarray(f))
+        return np.matmul(self._dmu, f)
 
     def dphi(self, f):
-        """Spectral d/dphi along the last axis."""
-        f = np.asarray(f)
-        fk = np.fft.fft(f, axis=-1)
-        m = 1j * np.fft.fftfreq(self.n_phi, d=1.0 / self.n_phi)
-        m = m.copy()
-        m[self.n_phi // 2] = 0.0
-        out = np.fft.ifft(fk * m, axis=-1)
-        return out.real if np.isrealobj(f) else out
+        """Spectral d/dphi along the last axis (a real operator)."""
+        return np.matmul(f, self._dphi)
+
+    @cached_property
+    def theta_hat(self) -> np.ndarray:
+        """(n_theta, n_phi, 3) unit vectors along increasing theta."""
+        cos_t = self.mu[:, None]
+        sin_t = np.sqrt(1.0 - self.mu**2)[:, None]
+        cos_p = np.cos(self.phi)[None, :]
+        sin_p = np.sin(self.phi)[None, :]
+        return np.stack([cos_t * cos_p, cos_t * sin_p,
+                         -sin_t * np.ones_like(cos_p)], axis=-1)
+
+    @cached_property
+    def phi_hat(self) -> np.ndarray:
+        """(n_theta, n_phi, 3) unit vectors along increasing phi."""
+        ones = np.ones((self.n_theta, 1))
+        cos_p = np.cos(self.phi)[None, :]
+        sin_p = np.sin(self.phi)[None, :]
+        return np.stack([-sin_p * ones, cos_p * ones,
+                         np.zeros((self.n_theta, self.n_phi))], axis=-1)
 
     def tangential_gradient(self, f):
         """Cartesian components of the tangential sphere gradient.
@@ -115,14 +140,10 @@ class SphereQuadrature:
         """
         f = np.asarray(f)
         sin_t = np.sqrt(1.0 - self.mu**2)[:, None]
-        cos_t = self.mu[:, None]
-        cos_p = np.cos(self.phi)[None, :]
-        sin_p = np.sin(self.phi)[None, :]
         df_dtheta = -sin_t * self.dmu(f)
         df_dphi_over_sin = self.dphi(f) / sin_t
-        theta_hat = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t * np.ones_like(cos_p)], axis=-1)
-        phi_hat = np.stack([-sin_p * np.ones_like(cos_t), cos_p * np.ones_like(cos_t), np.zeros((self.n_theta, self.n_phi))], axis=-1)
-        return df_dtheta[..., None] * theta_hat + df_dphi_over_sin[..., None] * phi_hat
+        return (df_dtheta[..., None] * self.theta_hat
+                + df_dphi_over_sin[..., None] * self.phi_hat)
 
     def harmonic_matrix(self, lmax=None):
         """(n_nodes, n_coeff) matrix of Y_lm values at the grid nodes."""
@@ -143,19 +164,56 @@ class SphereQuadrature:
         rigid rotation of the pattern by R about `axis`.  Exact for f of
         degree <= lmax (quadrature is exact to degree 2*n_theta - 1).
         """
+        return self.rotation_interp_matrices(
+            np.reshape(axis, (1, 3)), np.reshape(angle, (1,)), lmax)[0]
+
+    def rotation_interp_matrices(self, axes, angles, lmax=None):
+        """(K, n, n) resampling matrices for the rotations (axes[k], angles[k]).
+
+        Matrix k applied to flattened f realizes f(R_k^-1 s); a zero axis
+        is the identity rotation.  The harmonic form
+        M_ij = w_j sum_lm Y_lm(R^-1 s_i) Y_lm(s_j)* collapses by the
+        addition theorem, sum_m Y_lm(a) Y_lm(b)* = (2l+1)/(4 pi) P_l(a . b),
+        to one real Legendre series in a dot product:
+
+            M_ij = w_j sum_{l <= lmax} (2l+1)/(4 pi) P_l((R^-1 s_i) . s_j),
+
+        so no harmonic is evaluated and no complex algebra is needed.
+        Exact for f of degree <= lmax (quadrature is exact to degree
+        2*n_theta - 1).
+        """
         from .rotation import rodrigues_rotate
 
         if lmax is None:
             lmax = self.n_theta - 1
+        axes = np.asarray(axes, dtype=float)
+        angles = np.asarray(angles, dtype=float)
         nodes = self.s_hat.reshape(-1, 3)
-        back = rodrigues_rotate(nodes, axis, -angle)
-        theta = np.arccos(np.clip(back[:, 2], -1.0, 1.0))
-        phi = np.arctan2(back[:, 1], back[:, 0])
-        cols = []
-        for l in range(lmax + 1):
-            for m in range(-l, l + 1):
-                cols.append(sph_harm_y(l, m, theta, phi))
-        y_rot = np.array(cols).T
-        y = self.harmonic_matrix(lmax)
-        analysis = y.conj().T * self.weights.reshape(1, -1)
-        return (y_rot @ analysis).real
+        back = rodrigues_rotate(
+            np.broadcast_to(nodes, (len(angles), *nodes.shape)),
+            axes[:, None, :], -angles[:, None])
+        coef = (2 * np.arange(lmax + 1) + 1) / (4 * np.pi)
+        mats = back @ nodes.T
+        for k, dots in enumerate(mats):    # one matrix at a time stays in cache
+            mats[k] = _legendre_series(dots, coef)
+        mats *= self.weights.reshape(-1)
+        return mats
+
+
+def _legendre_series(x, coef):
+    """sum_l coef[l] P_l(x) elementwise, by Clenshaw's recurrence.
+
+    b_l = coef[l] + (2l+1)/(l+1) x b_{l+1} - (l+1)/(l+2) b_{l+2}, and the
+    sum is b_0.  Works on three x-sized buffers.
+    """
+    b1 = np.full_like(x, coef[-1])
+    b2 = np.zeros_like(x)
+    tmp = np.empty_like(x)
+    for l in range(len(coef) - 2, -1, -1):
+        np.multiply(x, b1, out=tmp)
+        tmp *= (2 * l + 1) / (l + 1)
+        b2 *= -(l + 1) / (l + 2)
+        b2 += tmp
+        b2 += coef[l]
+        b1, b2 = b2, b1
+    return b1

@@ -49,6 +49,12 @@ class TestRejections:
         with pytest.raises(ValueError, match="n_x"):
             config_from_dict({"scenario": "precession", "n_x": True})
 
+    def test_unknown_backend_lists_valid_choices(self):
+        with pytest.raises(ValueError, match="backend") as exc:
+            config_from_dict({"scenario": "precession", "backend": "oracle"})
+        for name in ("pic", "eulerian", "fluid"):
+            assert repr(name) in str(exc.value)
+
     def test_missing_scenario_reported(self):
         with pytest.raises(ValueError, match="scenario.*required"):
             config_from_dict({"B0": 1.0})

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from spinkin import sphere
 from spinkin.eulerian import (
     ExtendedDistribution,
+    _quantum_coupling,
+    advect_axis,
     eulerian_step,
     quantum_term_increment,
     uniform_velocity_axis,
@@ -231,3 +234,112 @@ def test_moments_factor_three_rule():
     expected = -3 * PARAMS.mu_B * n[None, :] * np.asarray(vec)[:, None] / 3
     assert np.max(np.abs(M - expected)) < 1e-12
     assert np.max(np.abs(j_free)) < 1e-12  # symmetric velocity profile
+
+
+def reference_mc_slope(qm, q, qp):
+    s1 = qp - q
+    s2 = q - qm
+    mono = s1 * s2 > 0
+    return np.where(mono, np.sign(s1) * np.minimum(
+        np.minimum(2 * np.abs(s1), 2 * np.abs(s2)), 0.5 * np.abs(s1 + s2)), 0.0)
+
+
+def reference_advect_axis(values, axis, speed, dt, h, limiter, periodic):
+    """MUSCL sweep with speed arrays padded to the full swept shape."""
+    q = np.moveaxis(values, axis, 0)
+    u = np.broadcast_to(np.moveaxis(np.asarray(speed, dtype=float), axis, 0),
+                        q.shape)
+    if periodic:
+        qp = np.concatenate([q[-2:], q, q[:2]], axis=0)
+        up = np.concatenate([u[-2:], u, u[:2]], axis=0)
+    else:
+        zeros = np.zeros_like(q[:2])
+        qp = np.concatenate([zeros, q, zeros], axis=0)
+        up = np.concatenate([u[:1], u[:1], u, u[-1:], u[-1:]], axis=0)
+    if limiter == "mc":
+        sigma = reference_mc_slope(qp[:-2], qp[1:-1], qp[2:])
+    else:
+        sigma = (qp[2:] - qp[:-2]) / 2
+    nu = up * dt / h
+    uf = up[1:-2]
+    f_pos = uf * (qp[1:-2] + 0.5 * (1 - nu[1:-2]) * sigma[:-1])
+    un = up[2:-1]
+    f_neg = un * (qp[2:-1] - 0.5 * (1 + nu[2:-1]) * sigma[1:])
+    flux = np.where(uf >= 0, f_pos, f_neg)
+    out = q - dt / h * (flux[1:] - flux[:-1])
+    return np.moveaxis(out, 0, axis)
+
+
+class TestKernelsMatchReference:
+    rng = np.random.default_rng(7)
+    V1 = rng.random((12, 10, 4, 8))
+    V2 = rng.random((6, 8, 7, 4, 8))
+    # flat patches and exact zeros exercise the limiter's sign cases
+    V1[:, 3:5] = 0.25
+    V2[V2 < 0.15] = 0.0
+    SWEEPS = [
+        (V1, 0, np.linspace(-2.0, 2.0, 10).reshape(1, 10, 1, 1)),
+        (V1, 1, rng.normal(size=(12, 1, 4, 8))),
+        (V2, 0, np.linspace(-1.0, 3.0, 8).reshape(1, 8, 1, 1, 1)),
+        (V2, 1, rng.normal(size=(6, 1, 7, 4, 8))),
+        (V2, 2, rng.normal(size=(6, 8, 1, 1, 1))),
+    ]
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("limiter", ["mc", "none"])
+    @pytest.mark.parametrize("case", range(len(SWEEPS)))
+    def test_advect_axis_matches_padded_speed_sweep(self, case, limiter,
+                                                    periodic):
+        values, axis, speed = self.SWEEPS[case]
+        got = advect_axis(values, axis, speed, 0.04, 0.1, limiter, periodic)
+        ref = reference_advect_axis(values, axis, speed, 0.04, 0.1, limiter,
+                                    periodic)
+        assert np.sign(speed).min() < 0 < np.sign(speed).max()
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_speed_varying_along_swept_axis_rejected(self):
+        speed = np.linspace(-1.0, 1.0, 10).reshape(1, 10, 1, 1)
+        with pytest.raises(ValueError, match="size 1 on axis 1"):
+            advect_axis(self.V1, 1, speed, 0.01, 0.1)
+        with pytest.raises(ValueError, match="size 1 on axis 0"):
+            advect_axis(self.V1, 0, np.ones(self.V1.shape), 0.01, 0.1)
+
+    def test_quantum_coupling_matches_tangential_gradient(self):
+        grid = SpatialGrid1D(16, 2 * np.pi)
+        v = uniform_velocity_axis(12, 3.0)
+        f = gaussian_1v(grid, v, spin_vec=[0.4, -0.2, 0.3])
+        f.values[:] += 0.01 * self.rng.random(f.values.shape)
+        dB = np.array([0.1 * np.cos(grid.x), -0.2 * np.sin(grid.x),
+                       0.3 * np.cos(2 * grid.x)])
+        grad = QUAD.tangential_gradient(f.values)
+        ref = (PARAMS.mu_B / PARAMS.mass) * np.sum(
+            grad * dB.T.reshape(grid.n, 1, 1, 1, 3), axis=-1)
+        got = _quantum_coupling(f, dB, PARAMS)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_nonuniform_step_builds_rotations_once_without_harmonics(
+            self, monkeypatch):
+        counts = {"sph_harm_y": 0, "batched": 0, "scalar": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        Q = sphere.SphereQuadrature
+        monkeypatch.setattr(sphere, "sph_harm_y",
+                            counted("sph_harm_y", sphere.sph_harm_y))
+        monkeypatch.setattr(Q, "rotation_interp_matrices",
+                            counted("batched", Q.rotation_interp_matrices))
+        monkeypatch.setattr(Q, "rotation_interp_matrix",
+                            counted("scalar", Q.rotation_interp_matrix))
+        grid = SpatialGrid1D(16, 2 * np.pi)
+        fs = FieldState(grid)
+        fs.B[0] = 0.3
+        fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
+        fs.metadata["staggered"] = False
+        f = gaussian_1v(grid, uniform_velocity_axis(16, 3.0),
+                        spin_vec=[0.4, 0.2, 0.3])
+        eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        assert counts == {"sph_harm_y": 0, "batched": 1, "scalar": 0}

@@ -111,14 +111,14 @@ class TestDeposit:
     def test_single_particle_charge_integral(self):
         grid = SpatialGrid1D(32, 10.0)
         ens = single_particle(grid, x=3.37)
-        rho, _, _, _ = deposit_sources(ens, grid, PARAMS)
+        rho, _, _, _ = deposit_sources(ens, PARAMS)
         assert abs(grid.integrate(rho) + PARAMS.charge * 1.0) < 1e-14
 
     def test_uniform_spins_no_bound_current(self):
         grid = SpatialGrid1D(32, 10.0)
         n_p = 32 * 50
         ens = load_particles(grid, n_p, spin=[0, 0, 1])
-        _, _, M, jb = deposit_sources(ens, grid, PARAMS)
+        _, _, M, jb = deposit_sources(ens, PARAMS)
         assert np.max(np.abs(M[2] - M[2][0])) < 1e-12
         assert np.max(np.abs(jb)) < 1e-12
 
@@ -130,14 +130,14 @@ class TestDeposit:
         s = np.column_stack([np.sin(k * x), np.zeros(n_p), np.cos(k * x)])
         ens = ParticleEnsemble(grid, x, np.zeros((n_p, 3)), s,
                                np.full(n_p, grid.length / n_p))
-        _, _, M, jb = deposit_sources(ens, grid, PARAMS)
+        _, _, M, jb = deposit_sources(ens, PARAMS)
         mode = round(k * grid.length / (2 * np.pi))
         amp = np.real(np.fft.fft(M[2])[mode]) * 2 / grid.n
         fitted = amp * np.cos(k * grid.x)
         assert np.max(np.abs(M[2] - fitted)) < 1e-12  # deposition is single mode
         assert np.max(np.abs(jb[1] - amp * k * np.sin(k * grid.x))) < 1e-8
         # centered-difference cross-check within its O(dx^2) error
-        _, _, _, jb_c = deposit_sources(ens, grid, PARAMS, curl_scheme="centered")
+        _, _, _, jb_c = deposit_sources(ens, PARAMS, curl_scheme="centered")
         assert np.max(np.abs(jb_c[1] - jb[1])) < abs(amp) * k**3 * grid.dx**2
 
     def test_charge_continuity_convergence(self):
@@ -147,9 +147,9 @@ class TestDeposit:
             ens = load_particles(grid, ng * 100, density_amplitude=0.1,
                                  v_thermal=0.0, drift=0.8, spin=[0, 0, 1])
             dt = 0.2 * grid.dx
-            rho0, j0, _, _ = deposit_sources(ens, grid, PARAMS)
+            rho0, j0, _, _ = deposit_sources(ens, PARAMS)
             pushed = push_particles(ens, FieldState(grid), PARAMS, dt)
-            rho1, j1, _, _ = deposit_sources(pushed, grid, PARAMS)
+            rho1, j1, _, _ = deposit_sources(pushed, PARAMS)
             res = (rho1 - rho0) / dt + grid.derivative((j0[0] + j1[0]) / 2)
             spec = np.fft.fft(res) / grid.n
             errs.append(np.max(2 * np.abs(spec[1:8])))  # physical low modes
@@ -163,7 +163,7 @@ class TestLoading:
         grid = SpatialGrid1D(64, 2 * np.pi)
         amp = 0.08
         ens = load_particles(grid, 64 * 200, density_amplitude=amp, density_mode=1)
-        rho, _, _, _ = deposit_sources(ens, grid, PARAMS)
+        rho, _, _, _ = deposit_sources(ens, PARAMS)
         n = -rho / PARAMS.charge
         assert np.max(np.abs(n - (1 + amp * np.cos(grid.x)))) < 1e-3
 
@@ -303,7 +303,7 @@ class TestFusedStep:
     def test_bincount_deposit_matches_scatter_add(self):
         grid = SpatialGrid1D(32, 2 * np.pi)
         ens = random_ensemble(grid, 500, seed=1)
-        rho, j_free, M, _ = deposit_sources(ens, grid, PARAMS)
+        rho, j_free, M, _ = deposit_sources(ens, PARAMS)
         cases = [(rho, -PARAMS.charge * ens.w),
                  (deposit_charge(ens, PARAMS), -PARAMS.charge * ens.w)]
         cases += [(j_free[a], -PARAMS.charge * ens.w * ens.v[:, a])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinkin.rotation import rodrigues_rotate
 from spinkin.sphere import SphereQuadrature, sph_harm_y
@@ -67,6 +69,57 @@ def test_rotation_interp_general_axis(quad):
     rotated_vec = rodrigues_rotate(vec, axis, angle)
     expected = np.einsum("tpi,i->tp", quad.s_hat, rotated_vec).reshape(-1)
     assert np.max(np.abs(mat @ f - expected)) < 1e-10
+
+
+def harmonic_sum_rotation(quad, axis, angle, lmax):
+    """Y_lm at the back-rotated nodes times the weighted conjugate analysis
+    matrix: the harmonic form of the resampling matrix."""
+    back = rodrigues_rotate(quad.s_hat.reshape(-1, 3), axis, -angle)
+    theta = np.arccos(np.clip(back[:, 2], -1.0, 1.0))
+    phi = np.arctan2(back[:, 1], back[:, 0])
+    y_rot = np.array([sph_harm_y(l, m, theta, phi)
+                      for l in range(lmax + 1) for m in range(-l, l + 1)]).T
+    analysis = quad.harmonic_matrix(lmax).conj().T * quad.weights.reshape(1, -1)
+    return (y_rot @ analysis).real
+
+
+SMALL = SphereQuadrature(8, 16)
+unit = st.floats(-1.0, 1.0)
+# an exact zero axis (no rotation) or one long enough to normalize cleanly
+axis_st = st.tuples(unit, unit, unit).filter(
+    lambda a: not any(a) or np.linalg.norm(a) > 1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(axes=st.lists(axis_st, min_size=1, max_size=3),
+       angle=st.floats(-np.pi, np.pi), lmax=st.sampled_from([1, 4, 7]))
+@example(axes=[(0.0, 0.0, 0.0), (0.3, -0.5, 0.8)], angle=0.0, lmax=7)
+@example(axes=[(0.0, 0.0, 0.0)], angle=1.1, lmax=4)
+def test_batched_rotation_matches_harmonic_sum(axes, angle, lmax):
+    axes = np.array(axes)
+    angles = angle * (1.0 + np.arange(len(axes)))
+    mats = SMALL.rotation_interp_matrices(axes, angles, lmax)
+    assert mats.shape == (len(axes), 128, 128)
+    for mat, axis, ang in zip(mats, axes, angles):
+        ref = harmonic_sum_rotation(SMALL, axis, ang, lmax)
+        assert np.max(np.abs(mat - ref)) <= 1e-12
+
+
+def test_scalar_rotation_is_batched_row(quad):
+    axis, angle = np.array([0.2, -0.7, 0.4]), 0.35
+    single = quad.rotation_interp_matrix(axis, angle, lmax=6)
+    batched = quad.rotation_interp_matrices(axis[None], [angle], lmax=6)
+    assert single.shape == (16 * 32, 16 * 32)
+    assert np.array_equal(single, batched[0])
+
+
+def test_rotation_matrices_full_degree_large_grid(quad):
+    rng = np.random.default_rng(3)
+    axes, angles = rng.normal(size=(2, 3)), rng.uniform(-np.pi, np.pi, 2)
+    mats = quad.rotation_interp_matrices(axes, angles)
+    for mat, axis, angle in zip(mats, axes, angles):
+        ref = harmonic_sum_rotation(quad, axis, angle, quad.n_theta - 1)
+        assert np.max(np.abs(mat - ref)) <= 1e-12
 
 
 def test_rodrigues_preserves_norm_and_orientation():
