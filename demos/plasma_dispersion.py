@@ -21,8 +21,8 @@ L = 10.0
 
 print(f"{'mode':>4} {'k':>7} {'omega fit':>11} {'omega theory':>13} {'rel err':>9}")
 for mode in (1, 2, 3):
-    cfg = config_from_dict(dict(scenario="plasma_osc_fluid", backend="fluid",
-                                n_x=32, length=L, mode=mode, dt=0.02,
+    cfg = config_from_dict(dict(scenario="plasma_osc_fluid", n_x=32,
+                                length=L, mode=mode, dt=0.02,
                                 t_end=56.0, cadence=5, out_dir="demo-output"))
     run_dir, _ = run_case(cfg)
     series = DiagnosticsSeries.read_csv(os.path.join(run_dir, "diagnostics.csv"))

@@ -24,9 +24,9 @@ CHECK_PRESETS = {
                        n_x=16, dt=0.2, t_end=320.0),
     "plasma_osc": dict(scenario="plasma_osc", n_x=128, n_particles=100000,
                        length=10.0, dt=0.1, t_end=56.0, perturbation=1e-3),
-    "plasma_osc_fluid": dict(scenario="plasma_osc_fluid", backend="fluid",
-                             n_x=64, length=10.0, dt=0.01, t_end=56.0,
-                             cadence=10, perturbation=1e-3),
+    "plasma_osc_fluid": dict(scenario="plasma_osc_fluid", n_x=64, length=10.0,
+                             dt=0.01, t_end=56.0, cadence=10,
+                             perturbation=1e-3),
     "stern_gerlach": dict(scenario="stern_gerlach", B0=0.0, B1=0.1,
                           n_particles=1000, n_x=32, dt=0.02, t_end=2.0),
     "free_stream": dict(scenario="free_stream", n_x=32, n_v=24, v_max=4.0,

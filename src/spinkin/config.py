@@ -9,14 +9,11 @@ exactly.
 import json
 from dataclasses import asdict, dataclass
 
-BACKENDS = ("pic", "eulerian", "fluid")
-
 # key -> (python type(s), range description, validator, default)
 _POSITIVE = ("> 0", lambda v: v > 0)
 _NONNEG = (">= 0", lambda v: v >= 0)
 _SCHEMA = {
     "scenario": (str, "scenario name", lambda v: bool(v), None),
-    "backend": (str, f"one of {BACKENDS}", lambda v: v in BACKENDS, "pic"),
     "n_x": (int, *_POSITIVE, 64),
     "length": (float, *_POSITIVE, 10.0),
     "n_v": (int, *_POSITIVE, 32),
@@ -31,10 +28,8 @@ _SCHEMA = {
     "dt": (float, *_POSITIVE, 0.01),
     "t_end": (float, *_POSITIVE, 10.0),
     "cadence": (int, *_POSITIVE, 1),
-    "quantum_term": (bool, "true/false", lambda v: True, False),
     "B0": (float, "finite", lambda v: True, 0.0),
     "B1": (float, "finite", lambda v: True, 0.0),
-    "E0": (float, "finite", lambda v: True, 0.0),
     "mode": (int, *_POSITIVE, 1),
     "perturbation": (float, "finite", lambda v: True, 1e-3),
     "out_dir": (str, "directory path", lambda v: bool(v), "runs"),
@@ -46,7 +41,6 @@ class RunConfig:
     """Validated, default-expanded run configuration."""
 
     scenario: str
-    backend: str
     n_x: int
     length: float
     n_v: int
@@ -61,10 +55,8 @@ class RunConfig:
     dt: float
     t_end: float
     cadence: int
-    quantum_term: bool
     B0: float
     B1: float
-    E0: float
     mode: int
     perturbation: float
     out_dir: str
@@ -105,7 +97,7 @@ def config_from_dict(data: dict) -> RunConfig:
         val = data[key]
         if typ is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
-        if typ is not bool and isinstance(val, bool):
+        if isinstance(val, bool):
             errors.append(f"{key}: expected {typ.__name__}, got bool")
             continue
         if not isinstance(val, typ):

@@ -15,8 +15,7 @@ import numpy as np
 
 from .grid import SpatialGrid1D
 from .params import PlasmaParams
-from .pauli import ExternalPotentials, SpinorField
-from .transforms import SIGMA
+from .pauli import ExternalPotentials, spinor_moments
 
 MEMBER_DENSITY_FLOOR_REL = 1e-10
 
@@ -68,21 +67,6 @@ class FluidMoments:
     masked_fraction: float = 0.0
 
 
-def _member_fields(member: SpinorField, params: PlasmaParams, A_x, floor_rel):
-    """Per-member (n, n*v, n*s) without division, plus safe n for ratios."""
-    grid = member.grid
-    n = member.density()
-    dpsi = grid.derivative(member.psi)
-    current = np.sum((member.psi.conj() * (-1j * params.hbar * dpsi
-                                           + params.charge * A_x * member.psi)).real,
-                     axis=0)
-    nv = current / params.mass
-    ns = (params.hbar / 2) * np.einsum("in,aij,jn->an", member.psi.conj(), SIGMA,
-                                       member.psi).real
-    safe = np.maximum(n, floor_rel * n.max())
-    return n, nv, ns, safe
-
-
 def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
                      params: PlasmaParams,
                      floor_rel=MEMBER_DENSITY_FLOOR_REL) -> FluidMoments:
@@ -97,7 +81,7 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
         raise ValueError("potentials and ensemble must share one grid")
     A_x = pot.A_or_zero[0]
     P = ens.probabilities
-    fields = [_member_fields(m, params, A_x, floor_rel) for m in ens.members]
+    fields = [spinor_moments(m, A_x, params) for m in ens.members]
 
     n = sum(p * f[0] for p, f in zip(P, fields))
     v = sum(p * f[1] for p, f in zip(P, fields)) / n
@@ -112,7 +96,8 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     Sigma_tilde = np.zeros(grid.n)
     mean_grad_dev = np.zeros((3, grid.n))   # <d S_dev / dx>, density weighted
     omega3 = np.zeros((3, grid.n))
-    for p, (n_a, nv_a, ns_a, safe) in zip(P, fields):
+    for p, (n_a, nv_a, ns_a) in zip(P, fields):
+        safe = np.maximum(n_a, floor_rel * n_a.max())
         v_a = nv_a / safe
         s_a = ns_a / safe
         w_a = v_a - v

@@ -7,21 +7,21 @@ the kinetic velocity that is invariant under static gauge changes.  This
 module provides the state-level gauge transformation, the dressed
 transform with Gauss quadrature for the line integral, the differential
 correction series connecting the two distributions at second order in
-hbar, the corrected field operators at the same order, and a symbolic
-residual check of the kinetic equation written in the corrected fields.
+hbar, and the corrected field operators at the same order.  The dressed
+transform is the shared correlation kernel of transforms with the
+line-integral phase as its kernel factor.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .eulerian import ExtendedDistribution
 from .grid import SpatialGrid1D
 from .params import PlasmaParams
 from .pauli import ExternalPotentials, SpinorField
 from .sphere import SphereQuadrature
-from .transforms import SIGMA, PhaseSpaceField
+from .transforms import SIGMA, PhaseSpaceField, phase_space_correlation
 
 GAUGE_FAMILIES = ("constant", "linear", "single_mode")
 
@@ -130,43 +130,24 @@ def _dressed_transform(psi, A, params, grid_v, quad, n_tau, line_integral):
     if A_x.shape != (grid.n,):
         raise ValueError("A must be sampled on the spatial grid")
 
-    n = grid.n
-    psi2 = np.empty((2, 2 * n), dtype=complex)
-    for a in range(2):
-        pk = np.fft.fft(psi.psi[a])
-        padded = np.zeros(2 * n, dtype=complex)
-        padded[:n // 2] = pk[:n // 2]
-        padded[-n // 2:] = pk[-n // 2:]
-        psi2[a] = np.fft.ifft(padded) * 2.0
-
-    mm = np.arange(-n // 2, n // 2)
-    y = mm * grid.dx
-    idx = np.arange(n)
-    plus = (2 * idx[:, None] + mm[None, :]) % (2 * n)
-    minus = (2 * idx[:, None] - mm[None, :]) % (2 * n)
-
     if np.max(np.abs(A_x)) == 0:
-        dress = np.ones((n, len(y)))
+        dress = None
     elif line_integral:
-        abar = _tau_average(A_x, grid, y, n_tau)
-        abar2 = _tau_average(A_x, grid, y, 2 * n_tau)
-        defect = np.max(np.abs(abar2 - abar))
-        if defect > 1e-10:
-            raise ValueError(
-                f"tau quadrature with {n_tau} nodes has not converged "
-                f"(doubling defect {defect:.3e} > 1e-10)")
-        dress = np.exp(1j * e * abar2 * y[None, :] / hbar)
+        def dress(y):
+            abar = _tau_average(A_x, grid, y, n_tau)
+            abar2 = _tau_average(A_x, grid, y, 2 * n_tau)
+            defect = np.max(np.abs(abar2 - abar))
+            if defect > 1e-10:
+                raise ValueError(
+                    f"tau quadrature with {n_tau} nodes has not converged "
+                    f"(doubling defect {defect:.3e} > 1e-10)")
+            return np.exp(1j * e * abar2 * y[None, :] / hbar)
     else:
-        dress = np.exp(1j * e * A_x[:, None] * y[None, :] / hbar)
+        def dress(y):
+            return np.exp(1j * e * A_x[:, None] * y[None, :] / hbar)
 
-    phases = np.exp(-1j * m * np.outer(y, v) / hbar)    # (n_y, n_v)
-    W = np.empty((2, 2, n, len(v)), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            corr = psi2[a][plus] * psi2[b][minus].conj()
-            W[a, b] = (m * grid.dx / (2 * np.pi * hbar)) * (
-                (corr * dress) @ phases)
-
+    W = phase_space_correlation(psi.psi, grid, m * v, hbar, dress)
+    W *= m
     w0 = np.real(W[0, 0] + W[1, 1])
     wvec = np.real(np.einsum("iab,banv->inv", SIGMA, W))
     values = (w0[None, None] + np.einsum("tpi,inv->tpnv", quad.s_hat, wvec))
@@ -206,18 +187,15 @@ def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
 SERIES_SIGN = +1.0
 
 
-def _spectral_axis_derivative(values, axis, h, order):
-    k = 2 * np.pi * np.fft.fftfreq(values.shape[axis], d=h)
-    shape = [1] * values.ndim
-    shape[axis] = len(k)
-    mult = (1j * k.reshape(shape)) ** order
-    if order % 2 == 1:
-        # zero the Nyquist mode for odd derivatives
-        nyq = [slice(None)] * values.ndim
-        nyq[axis] = values.shape[axis] // 2
-        mult = mult.copy()
-        mult[tuple(nyq)] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis).real
+def _x_derivative(f: PhaseSpaceField, u, order):
+    """Spectral x derivative of u, sampled on the x axis of f."""
+    return SpatialGrid1D(len(f.x), len(f.x) * f.dx).derivative(u, order)
+
+
+def _v_derivative(f: PhaseSpaceField, order):
+    """Spectral derivative of f along its velocity axis."""
+    n_v = len(f.p)
+    return SpatialGrid1D(n_v, n_v * f.dp / f.mass).derivative(f.values, order)
 
 
 def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams,
@@ -235,9 +213,8 @@ def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams,
     if A_x.shape != (len(f.x),):
         raise ValueError("A must be sampled on the x axis of f")
     e, m, hbar = params.charge, f.mass, params.hbar
-    d2A = _spectral_axis_derivative(A_x, 0, f.dx, 2)
-    dv = f.dp / m
-    d3f = _spectral_axis_derivative(f.values, 1, dv, 3)
+    d2A = _x_derivative(f, A_x, 2)
+    d3f = _v_derivative(f, 3)
     corr = SERIES_SIGN * (e * hbar**2 / (24 * m**3)) * d2A[:, None] * d3f
     return PhaseSpaceField(f.x, f.p, f.values + corr, mass=f.mass)
 
@@ -262,23 +239,17 @@ class TildeFields:
         if self.E.shape[0] != 3 or self.B.shape[0] != 3:
             raise ValueError("E and B must have three components")
 
-    def _field_dx(self, fld, f, order):
-        return _spectral_axis_derivative(fld, 1, f.dx, order)
-
-    def _dv(self, f, order):
-        return _spectral_axis_derivative(f.values, 1, f.dp / f.mass, order)
-
     def e_corr(self, f: PhaseSpaceField) -> np.ndarray:
         """-(hbar^2/24 m^2) (d2E) (d2/dv2) applied to f, shape (3, Nx, Nv)."""
         h, m = self.params.hbar, f.mass
         return (-(h**2 / (24 * m**2))
-                * self._field_dx(self.E, f, 2)[:, :, None] * self._dv(f, 2))
+                * _x_derivative(f, self.E, 2)[:, :, None] * _v_derivative(f, 2))
 
     def b_corr(self, f: PhaseSpaceField) -> np.ndarray:
         """-(hbar^2/24 m^2) (d2B) (d2/dv2) applied to f."""
         h, m = self.params.hbar, f.mass
         return (-(h**2 / (24 * m**2))
-                * self._field_dx(self.B, f, 2)[:, :, None] * self._dv(f, 2))
+                * _x_derivative(f, self.B, 2)[:, :, None] * _v_derivative(f, 2))
 
     def delta_v(self, f: PhaseSpaceField) -> np.ndarray:
         """-(e hbar^2/12 m^3) (dB) x grad_v (d/dv) applied to f.
@@ -287,8 +258,8 @@ class TildeFields:
         so the result is (dB/dx) x x_hat times d2f/dv2.
         """
         h, m, e = self.params.hbar, f.mass, self.params.charge
-        dB = self._field_dx(self.B, f, 1)
-        d2f = self._dv(f, 2)
+        dB = _x_derivative(f, self.B, 1)
+        d2f = _v_derivative(f, 2)
         xhat = np.array([1.0, 0.0, 0.0])
         cross = np.cross(dB.T, xhat).T                  # (3, Nx)
         return -(e * h**2 / (12 * m**3)) * cross[:, :, None] * d2f
@@ -297,238 +268,4 @@ class TildeFields:
         """+(hbar^2/12 m^2) (d2B) (d2/dv2) applied to f."""
         h, m = self.params.hbar, f.mass
         return ((h**2 / (12 * m**2))
-                * self._field_dx(self.B, f, 2)[:, :, None] * self._dv(f, 2))
-
-
-def tilde_fields_hbar2(E, B, params: PlasmaParams) -> TildeFields:
-    """Assemble the corrected-field operators at second order in hbar."""
-    return TildeFields(E, B, params)
-
-
-# ---------------------------------------------------------------------------
-# symbolic residual of the kinetic equation in the corrected fields
-
-from .kinetic_residual import (  # noqa: E402
-    HBAR,
-    PHI,
-    S_HAT,
-    THETA,
-    VX,
-    VY,
-    VZ,
-    X,
-    _check_potential_family,
-    _grad_v,
-    _max_abs,
-    _sphere_gradient,
-)
-
-_V_SYMS = (VX, VY, VZ)
-_EPS = [[[int((a - b) * (b - c) * (c - a) / 2) for c in range(3)]
-         for b in range(3)] for a in range(3)]
-
-
-def _dvx(g, n):
-    return sp.diff(g, VX, n)
-
-
-def _op_dot_gradv(op, f):
-    """Sum_c op(d f / d v_c)[c], op returning a 3-vector of expressions."""
-    return sum(op(sp.diff(f, vc))[c] for c, vc in enumerate(_V_SYMS))
-
-
-def _v_cross_op_dot_gradv(op, f):
-    """(v x op)[applied inside] . grad_v f."""
-    total = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        vec = op(g)
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * _V_SYMS[b] * vec[c]
-    return total
-
-
-def _op_cross_vec_dot_gradv(op, vec_field, f):
-    """(op x vec_field)[applied inside] . grad_v f."""
-    total = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        ov = op(g)
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * ov[b] * vec_field[c]
-    return total
-
-
-def _s_cross_op_dot_sgrad(op, f):
-    """[s_hat x op][applied inside] . sphere-gradient of f."""
-    sg = _sphere_gradient(f)
-    total = 0
-    for a in range(3):
-        ov = op(sg[a])
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * S_HAT[b] * ov[c]
-    return total
-
-
-@dataclass
-class GIResidualReport:
-    """Residual norms of the corrected-field kinetic equation per hbar."""
-
-    hbar: np.ndarray
-    quantum_norm: np.ndarray   # size of the hbar^2 corrections on f
-    regroup_gap: np.ndarray    # corrected form minus the split rearrangement
-    hbar4_norm: np.ndarray     # next-order content beyond the truncation
-
-    def slope(self) -> float:
-        return float(np.polyfit(np.log(self.hbar),
-                                np.log(self.hbar4_norm), 1)[0])
-
-    def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hbar", "residual_norm", "trailing_slope"])
-            for i, h in enumerate(self.hbar):
-                lo = max(0, i - 2)
-                if i - lo >= 1 and np.all(self.hbar4_norm[lo:i + 1] > 0):
-                    sl = np.polyfit(np.log(self.hbar[lo:i + 1]),
-                                    np.log(self.hbar4_norm[lo:i + 1]), 1)[0]
-                else:
-                    sl = float("nan")
-                writer.writerow([h, self.hbar4_norm[i], sl])
-
-
-def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
-                        hbar_list) -> GIResidualReport:
-    """Evaluate the corrected-field kinetic operator on a closed-form f.
-
-    Builds the transport operator with the hbar^2-truncated corrected
-    fields (order 2) and with the next-order terms retained (order 4),
-    plus the split rearrangement that isolates the corrections on the
-    right-hand side.  Per hbar the report carries the norm of the hbar^2
-    content, the regrouping defect (pure algebra, expected zero), and the
-    norm of the order-4 remainder whose scaling verifies the truncation.
-    """
-    f = sp.sympify(f_analytic)
-    E = sp.Matrix([_check_potential_family("E", c) for c in E])
-    B = sp.Matrix([_check_potential_family("B", c) for c in B])
-    e, m = params.charge, params.mass
-    mu_B = e * HBAR / (2 * m)
-    v = sp.Matrix([VX, VY, VZ])
-
-    def e_op(order):
-        def op(g):
-            out = -(HBAR**2 / (24 * m**2)) * sp.diff(E, X, 2) * _dvx(g, 2)
-            if order >= 4:
-                out += (HBAR**4 / (1920 * m**4)) * sp.diff(E, X, 4) * _dvx(g, 4)
-            return out
-        return op
-
-    def b_op(order, extra_dx=0):
-        def op(g):
-            out = (-(HBAR**2 / (24 * m**2))
-                   * sp.diff(B, X, 2 + extra_dx) * _dvx(g, 2))
-            if order >= 4:
-                out += (HBAR**4 / (1920 * m**4)) * sp.diff(
-                    B, X, 4 + extra_dx) * _dvx(g, 4)
-            return out
-        return op
-
-    def dB_op(order):
-        def op(g):
-            out = (HBAR**2 / (12 * m**2)) * sp.diff(B, X, 2) * _dvx(g, 2)
-            if order >= 4:
-                out -= (HBAR**4 / (480 * m**4)) * sp.diff(B, X, 4) * _dvx(g, 4)
-            return out
-        return op
-
-    def dv_op(order):
-        def op(g):
-            out = -(e * HBAR**2 / (12 * m**3)) * sp.diff(B, X, 1).cross(
-                _grad_v(_dvx(g, 1)))
-            if order >= 4:
-                out += (e * HBAR**4 / (480 * m**5)) * sp.diff(B, X, 3).cross(
-                    _grad_v(_dvx(g, 3)))
-            return out
-        return op
-
-    dB = sp.diff(B, X)
-    gvx = _dvx(f, 1)
-    l_semi = (VX * sp.diff(f, X)
-              - (e / m) * (E + v.cross(B)).dot(_grad_v(f))
-              - (mu_B / m) * (S_HAT.dot(dB) * gvx
-                              + dB.dot(_sphere_gradient(gvx)))
-              - (2 * mu_B / HBAR) * S_HAT.cross(B).dot(_sphere_gradient(f)))
-
-    def corrections(order):
-        """All terms the corrected fields add beyond the semiclassical
-        operator, with the sign they carry on the left-hand side."""
-        bo, eo = b_op(order), e_op(order)
-        terms = dv_op(order)(sp.diff(f, X))[0]
-        terms += -(e / m) * (_op_dot_gradv(eo, f)
-                             + _v_cross_op_dot_gradv(bo, f)
-                             + _op_cross_vec_dot_gradv(dv_op(order), B, f))
-        bo_x = b_op(order, extra_dx=1)
-        bvec = bo_x(_dvx(f, 1))
-        terms += -(mu_B / m) * (S_HAT.dot(bvec)
-                                + sum(bo_x(_sphere_gradient(_dvx(f, 1))[c])[c]
-                                      for c in range(3)))
-
-        def bo_plus_dB(g):
-            return bo(g) + dB_op(order)(g)
-
-        terms += -(2 * mu_B / HBAR) * _s_cross_op_dot_sgrad(bo_plus_dB, f)
-        return terms
-
-    l82_2 = l_semi + corrections(2)
-    l82_4 = l_semi + corrections(4)
-
-    # split form, transcribed independently: the hbar^2 corrections moved
-    # to the right-hand side with flipped sign, written out term by term
-    c24 = HBAR**2 / (24 * m**2)
-    c12v = e * HBAR**2 / (12 * m**3)
-    E2, B2, B3 = sp.diff(E, X, 2), sp.diff(B, X, 2), sp.diff(B, X, 3)
-    dB1 = sp.diff(B, X, 1)
-    # streaming correction: -Delta v_tilde . grad_x f (1D: x-component)
-    r_split = c12v * dB1.cross(_grad_v(_dvx(sp.diff(f, X), 1)))[0]
-    # field corrections inside the Lorentz force
-    lorentz = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        lorentz += -c24 * (E2[a] + v.cross(B2)[a]) * _dvx(g, 2)
-        dvt = -c12v * dB1.cross(_grad_v(_dvx(g, 1)))
-        lorentz += dvt.cross(B)[a]
-    r_split += (e / m) * lorentz
-    # dipole-force correction: extra x-derivative on the field bracket
-    r_split += -(mu_B / m) * c24 * (
-        S_HAT.dot(B3) * _dvx(f, 3) + B3.dot(_sphere_gradient(_dvx(f, 3))))
-    # precession correction: b_tilde plus the extra Delta B term gives a
-    # net +hbar^2/24 m^2 coefficient on the second field derivative
-    prec = 0
-    for a in range(3):
-        g = _sphere_gradient(f)[a]
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    prec += _EPS[a][b][c] * S_HAT[b] * c24 * B2[c] * _dvx(g, 2)
-    r_split += (2 * mu_B / HBAR) * prec
-
-    regroup = l82_2 - (l_semi - r_split)
-    quantum = l82_2 - l_semi
-    order4 = l82_4 - l82_2
-
-    hbar_list = np.asarray(hbar_list, dtype=float)
-    qn, rg, h4 = [], [], []
-    for h in hbar_list:
-        qn.append(_max_abs(quantum, {HBAR: h}, np.random.default_rng(7)))
-        rg.append(_max_abs(regroup, {HBAR: h}, np.random.default_rng(7)))
-        h4.append(_max_abs(order4, {HBAR: h}, np.random.default_rng(7)))
-    return GIResidualReport(hbar_list, np.array(qn), np.array(rg),
-                            np.array(h4))
+                * _x_derivative(f, self.B, 2)[:, :, None] * _v_derivative(f, 2))

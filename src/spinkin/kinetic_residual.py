@@ -12,6 +12,10 @@ gives the semiclassical transport used by the grid and particle solvers,
 so their symbolic norm measures the neglected quantum correction for a
 closed-form distribution.  Potentials are restricted to polynomials or
 single-mode trigonometric profiles in x so all derivatives are exact.
+
+The module also holds the symbolic residual check of the kinetic equation
+written in the hbar^2-corrected fields of the gauge-invariant transform
+(gi_kinetic_residual), which uses the same symbols and helpers.
 """
 
 from dataclasses import dataclass
@@ -163,3 +167,217 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
         rng = np.random.default_rng(7)
         gaps.append(_max_abs(gap, {HBAR: h}, rng))
     return KineticResidualReport(hbar_list, np.array(rhs_norms), np.array(gaps))
+
+
+# ---------------------------------------------------------------------------
+# symbolic residual of the kinetic equation in the corrected fields
+
+_V_SYMS = (VX, VY, VZ)
+_EPS = [[[int((a - b) * (b - c) * (c - a) / 2) for c in range(3)]
+         for b in range(3)] for a in range(3)]
+
+
+def _dvx(g, n):
+    return sp.diff(g, VX, n)
+
+
+def _op_dot_gradv(op, f):
+    """Sum_c op(d f / d v_c)[c], op returning a 3-vector of expressions."""
+    return sum(op(sp.diff(f, vc))[c] for c, vc in enumerate(_V_SYMS))
+
+
+def _v_cross_op_dot_gradv(op, f):
+    """(v x op)[applied inside] . grad_v f."""
+    total = 0
+    for a, va in enumerate(_V_SYMS):
+        g = sp.diff(f, va)
+        vec = op(g)
+        for b in range(3):
+            for c in range(3):
+                if _EPS[a][b][c]:
+                    total += _EPS[a][b][c] * _V_SYMS[b] * vec[c]
+    return total
+
+
+def _op_cross_vec_dot_gradv(op, vec_field, f):
+    """(op x vec_field)[applied inside] . grad_v f."""
+    total = 0
+    for a, va in enumerate(_V_SYMS):
+        g = sp.diff(f, va)
+        ov = op(g)
+        for b in range(3):
+            for c in range(3):
+                if _EPS[a][b][c]:
+                    total += _EPS[a][b][c] * ov[b] * vec_field[c]
+    return total
+
+
+def _s_cross_op_dot_sgrad(op, f):
+    """[s_hat x op][applied inside] . sphere-gradient of f."""
+    sg = _sphere_gradient(f)
+    total = 0
+    for a in range(3):
+        ov = op(sg[a])
+        for b in range(3):
+            for c in range(3):
+                if _EPS[a][b][c]:
+                    total += _EPS[a][b][c] * S_HAT[b] * ov[c]
+    return total
+
+
+@dataclass
+class GIResidualReport:
+    """Residual norms of the corrected-field kinetic equation per hbar."""
+
+    hbar: np.ndarray
+    quantum_norm: np.ndarray   # size of the hbar^2 corrections on f
+    regroup_gap: np.ndarray    # corrected form minus the split rearrangement
+    hbar4_norm: np.ndarray     # next-order content beyond the truncation
+
+    def slope(self) -> float:
+        return float(np.polyfit(np.log(self.hbar),
+                                np.log(self.hbar4_norm), 1)[0])
+
+    def write_csv(self, path):
+        import csv
+
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["hbar", "residual_norm", "trailing_slope"])
+            for i, h in enumerate(self.hbar):
+                lo = max(0, i - 2)
+                if i - lo >= 1 and np.all(self.hbar4_norm[lo:i + 1] > 0):
+                    sl = np.polyfit(np.log(self.hbar[lo:i + 1]),
+                                    np.log(self.hbar4_norm[lo:i + 1]), 1)[0]
+                else:
+                    sl = float("nan")
+                writer.writerow([h, self.hbar4_norm[i], sl])
+
+
+def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
+                        hbar_list) -> GIResidualReport:
+    """Evaluate the corrected-field kinetic operator on a closed-form f.
+
+    Builds the transport operator with the hbar^2-truncated corrected
+    fields (order 2) and with the next-order terms retained (order 4),
+    plus the split rearrangement that isolates the corrections on the
+    right-hand side.  Per hbar the report carries the norm of the hbar^2
+    content, the regrouping defect (pure algebra, expected zero), and the
+    norm of the order-4 remainder whose scaling verifies the truncation.
+    """
+    f = sp.sympify(f_analytic)
+    E = sp.Matrix([_check_potential_family("E", c) for c in E])
+    B = sp.Matrix([_check_potential_family("B", c) for c in B])
+    e, m = params.charge, params.mass
+    mu_B = e * HBAR / (2 * m)
+    v = sp.Matrix([VX, VY, VZ])
+
+    def e_op(order):
+        def op(g):
+            out = -(HBAR**2 / (24 * m**2)) * sp.diff(E, X, 2) * _dvx(g, 2)
+            if order >= 4:
+                out += (HBAR**4 / (1920 * m**4)) * sp.diff(E, X, 4) * _dvx(g, 4)
+            return out
+        return op
+
+    def b_op(order, extra_dx=0):
+        def op(g):
+            out = (-(HBAR**2 / (24 * m**2))
+                   * sp.diff(B, X, 2 + extra_dx) * _dvx(g, 2))
+            if order >= 4:
+                out += (HBAR**4 / (1920 * m**4)) * sp.diff(
+                    B, X, 4 + extra_dx) * _dvx(g, 4)
+            return out
+        return op
+
+    def dB_op(order):
+        def op(g):
+            out = (HBAR**2 / (12 * m**2)) * sp.diff(B, X, 2) * _dvx(g, 2)
+            if order >= 4:
+                out -= (HBAR**4 / (480 * m**4)) * sp.diff(B, X, 4) * _dvx(g, 4)
+            return out
+        return op
+
+    def dv_op(order):
+        def op(g):
+            out = -(e * HBAR**2 / (12 * m**3)) * sp.diff(B, X, 1).cross(
+                _grad_v(_dvx(g, 1)))
+            if order >= 4:
+                out += (e * HBAR**4 / (480 * m**5)) * sp.diff(B, X, 3).cross(
+                    _grad_v(_dvx(g, 3)))
+            return out
+        return op
+
+    dB = sp.diff(B, X)
+    gvx = _dvx(f, 1)
+    l_semi = (VX * sp.diff(f, X)
+              - (e / m) * (E + v.cross(B)).dot(_grad_v(f))
+              - (mu_B / m) * (S_HAT.dot(dB) * gvx
+                              + dB.dot(_sphere_gradient(gvx)))
+              - (2 * mu_B / HBAR) * S_HAT.cross(B).dot(_sphere_gradient(f)))
+
+    def corrections(order):
+        """All terms the corrected fields add beyond the semiclassical
+        operator, with the sign they carry on the left-hand side."""
+        bo, eo = b_op(order), e_op(order)
+        terms = dv_op(order)(sp.diff(f, X))[0]
+        terms += -(e / m) * (_op_dot_gradv(eo, f)
+                             + _v_cross_op_dot_gradv(bo, f)
+                             + _op_cross_vec_dot_gradv(dv_op(order), B, f))
+        bo_x = b_op(order, extra_dx=1)
+        bvec = bo_x(_dvx(f, 1))
+        terms += -(mu_B / m) * (S_HAT.dot(bvec)
+                                + sum(bo_x(_sphere_gradient(_dvx(f, 1))[c])[c]
+                                      for c in range(3)))
+
+        def bo_plus_dB(g):
+            return bo(g) + dB_op(order)(g)
+
+        terms += -(2 * mu_B / HBAR) * _s_cross_op_dot_sgrad(bo_plus_dB, f)
+        return terms
+
+    l82_2 = l_semi + corrections(2)
+    l82_4 = l_semi + corrections(4)
+
+    # split form, transcribed independently: the hbar^2 corrections moved
+    # to the right-hand side with flipped sign, written out term by term
+    c24 = HBAR**2 / (24 * m**2)
+    c12v = e * HBAR**2 / (12 * m**3)
+    E2, B2, B3 = sp.diff(E, X, 2), sp.diff(B, X, 2), sp.diff(B, X, 3)
+    dB1 = sp.diff(B, X, 1)
+    # streaming correction: -Delta v_tilde . grad_x f (1D: x-component)
+    r_split = c12v * dB1.cross(_grad_v(_dvx(sp.diff(f, X), 1)))[0]
+    # field corrections inside the Lorentz force
+    lorentz = 0
+    for a, va in enumerate(_V_SYMS):
+        g = sp.diff(f, va)
+        lorentz += -c24 * (E2[a] + v.cross(B2)[a]) * _dvx(g, 2)
+        dvt = -c12v * dB1.cross(_grad_v(_dvx(g, 1)))
+        lorentz += dvt.cross(B)[a]
+    r_split += (e / m) * lorentz
+    # dipole-force correction: extra x-derivative on the field bracket
+    r_split += -(mu_B / m) * c24 * (
+        S_HAT.dot(B3) * _dvx(f, 3) + B3.dot(_sphere_gradient(_dvx(f, 3))))
+    # precession correction: b_tilde plus the extra Delta B term gives a
+    # net +hbar^2/24 m^2 coefficient on the second field derivative
+    prec = 0
+    for a in range(3):
+        g = _sphere_gradient(f)[a]
+        for b in range(3):
+            for c in range(3):
+                if _EPS[a][b][c]:
+                    prec += _EPS[a][b][c] * S_HAT[b] * c24 * B2[c] * _dvx(g, 2)
+    r_split += (2 * mu_B / HBAR) * prec
+
+    regroup = l82_2 - (l_semi - r_split)
+    quantum = l82_2 - l_semi
+    order4 = l82_4 - l82_2
+
+    hbar_list = np.asarray(hbar_list, dtype=float)
+    qn, rg, h4 = [], [], []
+    for h in hbar_list:
+        qn.append(_max_abs(quantum, {HBAR: h}, np.random.default_rng(7)))
+        rg.append(_max_abs(regroup, {HBAR: h}, np.random.default_rng(7)))
+        h4.append(_max_abs(order4, {HBAR: h}, np.random.default_rng(7)))
+    return GIResidualReport(hbar_list, np.array(qn), np.array(rg),
+                            np.array(h4))

@@ -177,6 +177,20 @@ def step_pauli(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams
     return _potential_half_step(mid, pot, params, dt / 2)
 
 
+def spinor_moments(state: SpinorField, A_x, params: PlasmaParams):
+    """Density, current / m and spin density (n, n v, n s), undivided.
+
+    n v is the probability current over m with A_x the longitudinal vector
+    potential; n s = (hbar/2) psi^dag sigma psi.
+    """
+    dpsi = state.grid.derivative(state.psi)
+    current = np.sum((state.psi.conj() * (-1j * params.hbar * dpsi
+                                          + params.charge * A_x * state.psi)).real, axis=0)
+    ns = (params.hbar / 2) * np.einsum("in,aij,jn->an", state.psi.conj(), SIGMA,
+                                       state.psi).real
+    return state.density(), current / params.mass, ns
+
+
 def spinor_observables(state: SpinorField, pot: ExternalPotentials,
                        params: PlasmaParams):
     """Density, velocity and spin density (n, v, s) with low-density masking.
@@ -185,17 +199,11 @@ def spinor_observables(state: SpinorField, pot: ExternalPotentials,
     s = (hbar/2) psi^dag sigma psi / n.  Points with n below
     DENSITY_MASK_REL * max(n) are returned as NaN in v and s.
     """
-    grid = state.grid
-    n = state.density()
-    dpsi = grid.derivative(state.psi)
-    A = pot.A_or_zero
-    current = np.sum((state.psi.conj() * (-1j * params.hbar * dpsi
-                                          + params.charge * A[0] * state.psi)).real, axis=0)
+    n, nv, ns = spinor_moments(state, pot.A_or_zero[0], params)
     mask = n < DENSITY_MASK_REL * n.max()
     safe_n = np.where(mask, 1.0, n)
-    v = np.where(mask, np.nan, current / (params.mass * safe_n))
-    spin_raw = np.einsum("in,aij,jn->an", state.psi.conj(), SIGMA, state.psi).real
-    s = np.where(mask[None, :], np.nan, (params.hbar / 2) * spin_raw / safe_n[None, :])
+    v = np.where(mask, np.nan, nv / safe_n)
+    s = np.where(mask[None, :], np.nan, ns / safe_n[None, :])
     return n, v, s
 
 

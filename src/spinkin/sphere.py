@@ -96,10 +96,11 @@ class SphereQuadrature:
         """Real matrix D with f @ D the spectral d/dphi of real f.
 
         Built by differentiating the unit vectors in Fourier space with the
-        mode n_phi // 2 dropped.
+        Nyquist mode (index n_phi // 2, present only for even n_phi) dropped.
         """
         m = 1j * np.fft.fftfreq(self.n_phi, d=1.0 / self.n_phi)
-        m[self.n_phi // 2] = 0.0
+        if self.n_phi % 2 == 0:
+            m[self.n_phi // 2] = 0.0
         eye_k = np.fft.fft(np.eye(self.n_phi), axis=-1)
         return np.fft.ifft(eye_k * m, axis=-1).real
 

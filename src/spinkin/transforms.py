@@ -123,15 +123,52 @@ def conjugate_momentum_axis(grid: SpatialGrid1D, hbar: float) -> np.ndarray:
     return 2.0 * np.pi * hbar / grid.length * np.arange(-grid.n // 2, grid.n // 2)
 
 
+def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar,
+                            dress=None) -> np.ndarray:
+    """y-Fourier transform of the two-point correlation of every component pair.
+
+    W_ab(x, p) = dx/(2 pi hbar) sum_y exp(-i p y / hbar) dress(x, y)
+                 psi_a(x + y/2) psi_b*(x - y/2)
+    for psi of shape (n_comp, N); returns (n_comp, n_comp, N, len(p_axis))
+    complex.  y runs over one period, the half-point shifts come from
+    trigonometric interpolation onto the doubled grid, and dress, if given,
+    maps the lag vector y to an (N, N) kernel factor (None means 1).
+    """
+    psi = np.asarray(psi, dtype=complex)
+    n = grid.n
+    psi_k = np.fft.fft(psi, axis=-1)
+    padded = np.zeros((len(psi), 2 * n), dtype=complex)
+    padded[:, :n // 2] = psi_k[:, :n // 2]
+    padded[:, -n // 2:] = psi_k[:, -n // 2:]
+    psi2 = np.fft.ifft(padded, axis=-1) * 2.0
+
+    m = np.arange(-n // 2, n // 2)
+    idx = np.arange(n)
+    plus = (2 * idx[:, None] + m[None, :]) % (2 * n)
+    minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
+    y = m * grid.dx
+    factor = None if dress is None else dress(y)
+    phases = np.exp(-1j * np.outer(y, p_axis) / hbar)
+
+    W = np.empty((len(psi), len(psi), n, len(p_axis)), dtype=complex)
+    for a in range(len(psi)):
+        for b in range(len(psi)):
+            corr = psi2[a][plus] * psi2[b][minus].conj()
+            if factor is not None:
+                corr *= factor
+            np.matmul(corr, phases, out=W[a, b])
+    W *= grid.dx / (2.0 * np.pi * hbar)
+    return W
+
+
 def wigner_transform(psi: WaveFunction1D, params: PlasmaParams,
                      n_v=None, v_max=None) -> PhaseSpaceField:
     """Discrete Wigner transform on the periodic domain.
 
-    f(x, p) = (1/2 pi hbar) * sum_y exp(-i p y / hbar) psi(x + y/2) psi*(x - y/2) dy
-    with y running over one period and the half-point shifts realized by
-    spectral (trigonometric) interpolation of psi onto the doubled grid.
-    On the conjugate momentum axis the x- and p-marginals reproduce |psi|^2
-    and |psi_tilde|^2 identically for band-limited states.
+    f(x, p) = (1/2 pi hbar) * sum_y exp(-i p y / hbar) psi(x + y/2) psi*(x - y/2) dy,
+    the single-component case of phase_space_correlation.  On the conjugate
+    momentum axis the x- and p-marginals reproduce |psi|^2 and |psi_tilde|^2
+    identically for band-limited states.
     """
     grid = psi.grid
     hbar = params.hbar
@@ -151,23 +188,9 @@ def wigner_transform(psi: WaveFunction1D, params: PlasmaParams,
         p_max = params.mass * v_max
         p_axis = -p_max + 2.0 * p_max / n_v * np.arange(n_v)
 
-    n = grid.n
-    # trigonometric interpolation onto the doubled grid
-    psi_k = np.fft.fft(psi.psi)
-    padded = np.zeros(2 * n, dtype=complex)
-    padded[:n // 2] = psi_k[:n // 2]
-    padded[-n // 2:] = psi_k[-n // 2:]
-    psi2 = np.fft.ifft(padded) * 2.0
-
-    m = np.arange(-n // 2, n // 2)
-    idx = np.arange(n)
-    plus = (2 * idx[:, None] + m[None, :]) % (2 * n)
-    minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
-    corr = psi2[plus] * psi2[minus].conj()
-
-    y = m * grid.dx
-    phases = np.exp(-1j * np.outer(y, p_axis) / hbar)
-    values = (grid.dx / (2.0 * np.pi * hbar)) * (corr @ phases).real
+    W = phase_space_correlation(psi.psi[None], grid, p_axis, hbar)
+    # copied so the field does not keep the complex correlation alive
+    values = W[0, 0].real.copy()
     return PhaseSpaceField(x=grid.x, p=p_axis, values=values, mass=params.mass)
 
 

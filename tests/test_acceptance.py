@@ -139,7 +139,7 @@ def test_criterion_04_plasma_oscillation(tmp_path):
     d, _ = run_case(cfg, out_dir=str(tmp_path / "pic"))
     fit = fit_frequency(_series(d), "E_mode")
     rel_pic = abs(fit.omega - 1.0)          # omega_p = 1 in code units
-    cfg_f = config_from_dict(dict(scenario="plasma_osc_fluid", backend="fluid",
+    cfg_f = config_from_dict(dict(scenario="plasma_osc_fluid",
                                   n_x=64, length=L, dt=0.01, t_end=56.0,
                                   cadence=10))
     d2, _ = run_case(cfg_f, out_dir=str(tmp_path / "fluid"))

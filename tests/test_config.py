@@ -10,7 +10,6 @@ class TestDefaults:
         cfg = config_from_dict({"scenario": "precession", "B0": 1.0})
         assert cfg.scenario == "precession"
         assert cfg.B0 == 1.0
-        assert cfg.backend == "pic"
         assert cfg.n_x == 64 and cfg.cadence == 1
         assert cfg.n_steps == round(cfg.t_end / cfg.dt)
 
@@ -49,11 +48,14 @@ class TestRejections:
         with pytest.raises(ValueError, match="n_x"):
             config_from_dict({"scenario": "precession", "n_x": True})
 
-    def test_unknown_backend_lists_valid_choices(self):
-        with pytest.raises(ValueError, match="backend") as exc:
-            config_from_dict({"scenario": "precession", "backend": "oracle"})
-        for name in ("pic", "eulerian", "fluid"):
-            assert repr(name) in str(exc.value)
+    @pytest.mark.parametrize("key, value", [("backend", "pic"),
+                                            ("quantum_term", True),
+                                            ("E0", 0.5)])
+    def test_ignored_keys_are_unknown(self, key, value):
+        # each scenario fixes its own backend and fields; these keys were
+        # accepted and then ignored
+        with pytest.raises(ValueError, match=f"{key}: unknown key"):
+            config_from_dict({"scenario": "precession", key: value})
 
     def test_missing_scenario_reported(self):
         with pytest.raises(ValueError, match="scenario.*required"):

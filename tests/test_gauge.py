@@ -1,24 +1,30 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from spinkin.gauge import (
     GaugeTransformSpec,
-    GIResidualReport,
+    TildeFields,
     gauge_transform_state,
     gi_correction_series,
-    gi_kinetic_residual,
     gi_wigner_transform,
     kinetic_wigner_transform,
-    tilde_fields_hbar2,
 )
 from spinkin.grid import SpatialGrid1D
-from spinkin.kinetic_residual import PHI, THETA, VX, X
+from spinkin.kinetic_residual import PHI, THETA, VX, X, gi_kinetic_residual
 from spinkin.params import PlasmaParams
-from spinkin.pauli import ExternalPotentials, init_state, spin_orientation
+from spinkin.pauli import (
+    ExternalPotentials,
+    SpinorField,
+    init_state,
+    spin_orientation,
+)
 from spinkin.sphere import SphereQuadrature
 from spinkin.transforms import (
+    SIGMA,
     PhaseSpaceField,
     WaveFunction1D,
     spin_q_transform,
@@ -165,6 +171,73 @@ class TestDressedTransform:
             gi_wigner_transform(psi, A, PARAMS, v, n_tau=1)
 
 
+def reference_dressed(psi, A_x, params, v, quad, line_integral, n_tau=16):
+    """The dressed transform as written before the shared correlation kernel,
+    returned in the (n_theta, n_phi, N_x, N_v) layout of the projection."""
+    grid = psi.grid
+    hbar, m, e = params.hbar, params.mass, params.charge
+    n = grid.n
+    psi2 = np.empty((2, 2 * n), dtype=complex)
+    for a in range(2):
+        pk = np.fft.fft(psi.psi[a])
+        padded = np.zeros(2 * n, dtype=complex)
+        padded[:n // 2] = pk[:n // 2]
+        padded[-n // 2:] = pk[-n // 2:]
+        psi2[a] = np.fft.ifft(padded) * 2.0
+    mm = np.arange(-n // 2, n // 2)
+    y = mm * grid.dx
+    idx = np.arange(n)
+    plus = (2 * idx[:, None] + mm[None, :]) % (2 * n)
+    minus = (2 * idx[:, None] - mm[None, :]) % (2 * n)
+    if np.max(np.abs(A_x)) == 0:
+        dress = np.ones((n, len(y)))
+    elif line_integral:
+        # A(x + tau y) summed mode by mode, averaged over tau in (-1/2, 1/2)
+        nodes, weights = leggauss(2 * n_tau)
+        arg = grid.x[:, None, None] + (nodes / 2)[None, None, :] * y[None, :, None]
+        k = 2 * np.pi * np.fft.fftfreq(n, d=grid.dx)
+        c = np.fft.fft(A_x) / n
+        a_at = sum(ck * np.exp(1j * kk * arg) for ck, kk in zip(c, k)).real
+        abar = a_at @ (weights / 2)
+        dress = np.exp(1j * e * abar * y[None, :] / hbar)
+    else:
+        dress = np.exp(1j * e * A_x[:, None] * y[None, :] / hbar)
+    phases = np.exp(-1j * m * np.outer(y, v) / hbar)
+    W = np.empty((2, 2, n, len(v)), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            corr = psi2[a][plus] * psi2[b][minus].conj()
+            W[a, b] = (m * grid.dx / (2 * np.pi * hbar)) * (
+                (corr * dress) @ phases)
+    w0 = np.real(W[0, 0] + W[1, 1])
+    wvec = np.real(np.einsum("iab,banv->inv", SIGMA, W))
+    return (w0[None, None] + np.einsum("tpi,inv->tpnv", quad.s_hat, wvec)) / (4 * np.pi)
+
+
+class TestDressedKernelPin:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mass=st.floats(0.5, 2.5),
+           amplitude=st.sampled_from([0.0, 0.15, 0.4]),
+           mode=st.integers(1, 3), line_integral=st.booleans())
+    def test_matches_reference(self, seed, mass, amplitude, mode,
+                               line_integral):
+        grid = SpatialGrid1D(32, 12.0)
+        params = PlasmaParams(mass=mass)
+        rng = np.random.default_rng(seed)
+        k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+        coef = ((rng.normal(size=(2, grid.n)) + 1j * rng.normal(size=(2, grid.n)))
+                * np.exp(-(k / 4.0) ** 2))
+        psi = SpinorField(grid, np.fft.ifft(coef, axis=-1)).normalized()
+        A_x = amplitude * np.sin(2 * np.pi * mode * grid.x / grid.length)
+        v = np.linspace(-3, 3, 21)[:-1]
+        quad = SphereQuadrature(3, 6)
+        transform = gi_wigner_transform if line_integral else kinetic_wigner_transform
+        got = np.moveaxis(transform(psi, A_x, params, v, quad=quad).values,
+                          (0, 1), (2, 3))
+        ref = reference_dressed(psi, A_x, params, v, quad, line_integral)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestCorrectionSeries:
     def test_identity_for_uniform_potential(self):
         grid = SpatialGrid1D(64, 12.0)
@@ -249,7 +322,7 @@ class TestTildeFields:
         E[0] = 0.5
         B = np.zeros((3, grid.n))
         B[2] = 1.2
-        tf = tilde_fields_hbar2(E, B, PARAMS)
+        tf = TildeFields(E, B, PARAMS)
         for arr in (tf.e_corr(f), tf.b_corr(f), tf.delta_v(f), tf.delta_B(f)):
             assert np.max(np.abs(arr)) < 1e-13
 
@@ -264,7 +337,7 @@ class TestTildeFields:
             E[0] = 0.7 * np.cos(grid.x)
             B = np.zeros((3, grid.n))
             B[2] = 0.5 * np.cos(2 * grid.x)
-            tf = tilde_fields_hbar2(E, B, P)
+            tf = TildeFields(E, B, P)
             errs["field"].append(np.max(np.abs(
                 tf.e_corr(f)[0] - self.oracle(E[0], f, P, "field", grid))))
             errs["delta_B"].append(np.max(np.abs(
@@ -277,7 +350,7 @@ class TestTildeFields:
 
     def test_component_count_checked(self):
         with pytest.raises(ValueError, match="three components"):
-            tilde_fields_hbar2(np.zeros((2, 8)), np.zeros((3, 8)), PARAMS)
+            TildeFields(np.zeros((2, 8)), np.zeros((3, 8)), PARAMS)
 
 
 F_TEST = (sp.exp(-X**2 - VX**2)

@@ -122,7 +122,7 @@ class TestScenarioPhysics:
 
     def test_fluid_bohm_dispersion(self, tmp_path):
         L = 10.0
-        d, _ = run(tmp_path, scenario="plasma_osc_fluid", backend="fluid",
+        d, _ = run(tmp_path, scenario="plasma_osc_fluid",
                    n_x=64, length=L, dt=0.01, t_end=56.0, cadence=10)
         s = series_of(d)
         fit = fit_frequency(s, "n_mode")

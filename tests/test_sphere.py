@@ -122,6 +122,17 @@ def test_rotation_matrices_full_degree_large_grid(quad):
         assert np.max(np.abs(mat - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("n_phi", [8, 9, 15, 16])
+def test_dphi_top_mode(n_phi):
+    # the highest resolved mode is index n_phi // 2; only for even n_phi is
+    # it the Nyquist mode, whose sine part vanishes on the nodes
+    q = SphereQuadrature(2, n_phi)
+    top = n_phi // 2
+    f = np.cos(top * q.phi) * np.ones((2, 1))
+    exact = -top * np.sin(top * q.phi) * np.ones((2, 1))
+    assert np.max(np.abs(q.dphi(f) - exact)) <= 1e-12
+
+
 def test_rodrigues_preserves_norm_and_orientation():
     rng = np.random.default_rng(0)
     v = rng.normal(size=(50, 3))

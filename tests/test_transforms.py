@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
@@ -8,7 +10,9 @@ from spinkin.transforms import (
     DensityMatrixSpin,
     WaveFunction1D,
     expect_phase_space,
+    conjugate_momentum_axis,
     marginals,
+    phase_space_correlation,
     spin_moments_and_reconstruct,
     spin_q_transform,
     wigner_transform,
@@ -131,6 +135,63 @@ class TestExpectation:
         f = wigner_transform(gaussian_state(GRID), PARAMS)
         with pytest.raises(ValueError):
             expect_phase_space(f, np.ones((3, 3)))
+
+
+def random_state(seed, n_comp, grid):
+    """Normalized random band-limited components, shape (n_comp, N)."""
+    rng = np.random.default_rng(seed)
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    coef = ((rng.normal(size=(n_comp, grid.n))
+             + 1j * rng.normal(size=(n_comp, grid.n)))
+            * np.exp(-(k / (grid.n / 8)) ** 2))
+    psi = np.fft.ifft(coef, axis=-1)
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+
+
+def reference_wigner(psi, grid, p_axis, hbar):
+    """The transform as written before the shared correlation kernel."""
+    n = grid.n
+    psi_k = np.fft.fft(psi)
+    padded = np.zeros(2 * n, dtype=complex)
+    padded[:n // 2] = psi_k[:n // 2]
+    padded[-n // 2:] = psi_k[-n // 2:]
+    psi2 = np.fft.ifft(padded) * 2.0
+    m = np.arange(-n // 2, n // 2)
+    idx = np.arange(n)
+    plus = (2 * idx[:, None] + m[None, :]) % (2 * n)
+    minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
+    corr = psi2[plus] * psi2[minus].conj()
+    y = m * grid.dx
+    phases = np.exp(-1j * np.outer(y, p_axis) / hbar)
+    return (grid.dx / (2.0 * np.pi * hbar)) * (corr @ phases).real
+
+
+class TestCorrelationKernel:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48]),
+           mass=st.floats(0.3, 3.0), hbar=st.floats(0.3, 2.0),
+           custom_axis=st.booleans())
+    def test_wigner_matches_reference(self, seed, n, mass, hbar, custom_axis):
+        grid = SpatialGrid1D(n, 12.0)
+        params = PlasmaParams(mass=mass, hbar=hbar)
+        psi = WaveFunction1D(grid, random_state(seed, 1, grid)[0])
+        if custom_axis:
+            f = wigner_transform(psi, params, n_v=24, v_max=2.5)
+        else:
+            f = wigner_transform(psi, params)
+            assert np.array_equal(f.p, conjugate_momentum_axis(grid, hbar))
+        ref = reference_wigner(psi.psi, grid, f.p, hbar)
+        assert np.max(np.abs(f.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_diagonal_pairs_are_wigner_transforms(self):
+        grid = SpatialGrid1D(64, 16.0)
+        psi = random_state(4, 3, grid)
+        p = conjugate_momentum_axis(grid, 1.0)
+        W = phase_space_correlation(psi, grid, p, 1.0)
+        assert W.shape == (3, 3, 64, 64)
+        for a in range(3):
+            ref = reference_wigner(psi[a], grid, p, 1.0)
+            assert np.max(np.abs(W[a, a].real - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSpinQTransform:
