@@ -141,13 +141,14 @@ def cmd_check(args):
 
 
 def cmd_transform(args):
-    from .gauge import gi_wigner_transform, kinetic_wigner_transform
+    from .gauge import line_integral_dressing
     from .grid import SpatialGrid1D
     from .params import PlasmaParams
     from .pauli import SpinorField
     from .snapshots import read_snapshot, write_snapshot
     from .sphere import SphereQuadrature
-    from .transforms import conjugate_momentum_axis, spin_q_transform
+    from .transforms import (IDENTITY2, conjugate_momentum_axis,
+                             phase_space_correlation, spin_q_transform)
 
     data, meta = read_snapshot(args.input)
     extra = meta.get("extra", {})
@@ -168,14 +169,14 @@ def cmd_transform(args):
         write_snapshot(out_base, f.values, axes, extra={"kind": "spinq"})
     else:
         v = conjugate_momentum_axis(grid, params.hbar) / params.mass
-        A = np.asarray(extra.get("A_x", np.zeros(grid.n)), dtype=float)
-        quad = SphereQuadrature(2, 4)
+        # the sphere integral of (w_0 + s_hat . w) / 4 pi is w_0 = Re Tr W
+        A = np.zeros(grid.n)
         if args.kind == "gi":
-            f = gi_wigner_transform(psi, A, params, v, quad=quad)
-        else:
-            f = kinetic_wigner_transform(psi, np.zeros(grid.n), params, v,
-                                         quad=quad)
-        f_xv = np.sum(f.values * f.quad.weights, axis=(2, 3))
+            A = extra.get("A_x", A)
+        dress = line_integral_dressing(A, grid, params)
+        f_xv = params.mass * phase_space_correlation(
+            psi.psi, grid, params.mass * v, params.hbar, IDENTITY2[None],
+            dress)[0]
         axes = {"x": {"n": grid.n, "spacing": grid.dx, "origin": 0.0},
                 "v": {"n": len(v), "spacing": float(v[1] - v[0]),
                       "origin": float(v[0])}}

@@ -189,11 +189,12 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
         phase = phase.reshape(phase.shape[0], *([1] * extra), quad.n_phi)
         return np.fft.ifft(fk * phase, axis=-1).real
 
-    # one matrix per distinct (B, angle) node, all built in one call
-    keys, inverse = np.unique(np.column_stack([B_nodes.T, angle]), axis=0,
-                              return_inverse=True)
+    # one matrix per distinct B node, all built in one call; the angle is a
+    # function of |B|, and rounding merges rows that differ in the last bits
+    _, first, inverse = np.unique(np.round(B_nodes.T, 12), axis=0,
+                                  return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)
-    mats = quad.rotation_interp_matrices(keys[:, :3], keys[:, 3])
+    mats = quad.rotation_interp_matrices(B_nodes.T[first], angle[first])
     flat = values.reshape(values.shape[0], -1, quad.n_theta * quad.n_phi)
     out = np.empty_like(flat)
     for k, mat in enumerate(mats):
@@ -239,9 +240,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     grid = f.grid
     e, m = params.charge, params.mass
     B_nodes = fs.b_nodes()
-    dB = fs.metadata.get("dB_nodes")
-    if dB is None:
-        dB = grid.derivative(B_nodes)
+    dB = fs.db_nodes()
 
     two_v = len(f.v_axes) == 2
     vx = f.v_axes[0]
@@ -285,8 +284,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     # the quantum spin-velocity flux is explicit: evaluated once on the
     # step input, so a distribution with no s_hat dependence is untouched
     if quantum_term:
-        q_inc = dt / 2 * _v_derivative(_quantum_coupling(f, dB, params),
-                                       1, dvs[0])
+        q_inc = quantum_term_increment(f, fs, params, dt / 2)
 
     def v_half(vals):
         out = advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter)
@@ -306,9 +304,6 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
 
 def quantum_term_increment(f: ExtendedDistribution, fs: FieldState,
                            params: PlasmaParams, dt) -> np.ndarray:
-    """dt * (mu_B/m)[d_x(B . grad_s)] . grad_v f, for one-step comparisons."""
-    dB = fs.metadata.get("dB_nodes")
-    if dB is None:
-        dB = f.grid.derivative(fs.b_nodes())
-    u = _quantum_coupling(f, dB, params)
+    """dt * (mu_B/m)[d_x(B . grad_s)] . grad_v f, the explicit quantum term."""
+    u = _quantum_coupling(f, fs.db_nodes(), params)
     return dt * _v_derivative(u, 1, f.dv[0])

@@ -62,6 +62,12 @@ class FieldState:
         out[2] = (out[2] + np.roll(out[2], 1)) / 2
         return out
 
+    def db_nodes(self) -> np.ndarray:
+        """dB/dx at integer nodes: an overlay's exact metadata['dB_nodes'],
+        else the spectral derivative of b_nodes()."""
+        dB = self.metadata.get("dB_nodes")
+        return self.grid.derivative(self.b_nodes()) if dB is None else dB
+
     def copy(self) -> "FieldState":
         return FieldState(self.grid, self.E.copy(), self.B.copy(),
                           None if self.phi is None else self.phi.copy(),

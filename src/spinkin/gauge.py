@@ -7,9 +7,9 @@ the kinetic velocity that is invariant under static gauge changes.  This
 module provides the state-level gauge transformation, the dressed
 transform with Gauss quadrature for the line integral, the differential
 correction series connecting the two distributions at second order in
-hbar, and the corrected field operators at the same order.  The dressed
-transform is the shared correlation kernel of transforms with the
-line-integral phase as its kernel factor.
+hbar, and the corrected field operators at the same order.  The dressing
+is a kernel factor of the lag y (`line_integral_dressing`) for the shared
+correlation kernel of transforms.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from .grid import SpatialGrid1D
 from .params import PlasmaParams
 from .pauli import ExternalPotentials, SpinorField
 from .sphere import SphereQuadrature
-from .transforms import SIGMA, PhaseSpaceField, phase_space_correlation
+from .transforms import SPIN_BASIS, PhaseSpaceField, phase_space_correlation
 
 GAUGE_FAMILIES = ("constant", "linear", "single_mode")
 
@@ -117,42 +117,51 @@ def _tau_average(A_x, grid: SpatialGrid1D, y, n_tau):
     return out.real
 
 
-def _dressed_transform(psi, A, params, grid_v, quad, n_tau, line_integral):
-    grid = psi.grid
-    hbar, m, e = params.hbar, params.mass, params.charge
+def _x_component(A, n):
+    """A_x from A_x itself or from the (3, n) potential, checked for n nodes."""
+    A = np.asarray(A, dtype=float)
+    A_x = A[0] if A.ndim == 2 else A
+    if A_x.shape != (n,):
+        raise ValueError(f"A must be sampled on the {n} nodes of the x grid")
+    return A_x
+
+
+def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams,
+                           n_tau=16):
+    """Kernel factor exp{(i e / hbar) y int_{-1/2}^{1/2} A(x + tau y) dtau}.
+
+    The `dress` callable of the lag vector y for phase_space_correlation,
+    or None for A = 0; the tau quadrature is checked against twice the
+    nodes on every call.
+    """
+    A_x = _x_component(A, grid.n)
+    if np.max(np.abs(A_x)) == 0:
+        return None
+
+    def dress(y):
+        abar = _tau_average(A_x, grid, y, n_tau)
+        abar2 = _tau_average(A_x, grid, y, 2 * n_tau)
+        defect = np.max(np.abs(abar2 - abar))
+        if defect > 1e-10:
+            raise ValueError(
+                f"tau quadrature with {n_tau} nodes has not converged "
+                f"(doubling defect {defect:.3e} > 1e-10)")
+        return np.exp(1j * params.charge * abar2 * y[None, :] / params.hbar)
+    return dress
+
+
+def _dressed_transform(psi, params, grid_v, quad, dress):
     if abs(psi.norm() - 1.0) > 1e-8:
         raise ValueError("spinor is not normalized")
     v = np.asarray(grid_v, dtype=float)
     quad = SphereQuadrature(4, 8) if quad is None else quad
-
-    A = np.asarray(A, dtype=float)
-    A_x = A[0] if A.ndim == 2 else A
-    if A_x.shape != (grid.n,):
-        raise ValueError("A must be sampled on the spatial grid")
-
-    if np.max(np.abs(A_x)) == 0:
-        dress = None
-    elif line_integral:
-        def dress(y):
-            abar = _tau_average(A_x, grid, y, n_tau)
-            abar2 = _tau_average(A_x, grid, y, 2 * n_tau)
-            defect = np.max(np.abs(abar2 - abar))
-            if defect > 1e-10:
-                raise ValueError(
-                    f"tau quadrature with {n_tau} nodes has not converged "
-                    f"(doubling defect {defect:.3e} > 1e-10)")
-            return np.exp(1j * e * abar2 * y[None, :] / hbar)
-    else:
-        def dress(y):
-            return np.exp(1j * e * A_x[:, None] * y[None, :] / hbar)
-
-    W = phase_space_correlation(psi.psi, grid, m * v, hbar, dress)
-    W *= m
-    w0 = np.real(W[0, 0] + W[1, 1])
-    wvec = np.real(np.einsum("iab,banv->inv", SIGMA, W))
-    values = (w0[None, None] + np.einsum("tpi,inv->tpnv", quad.s_hat, wvec))
-    values = np.moveaxis(values, (2, 3), (0, 1)) / (4 * np.pi)
-    return ExtendedDistribution(grid, (v,), quad, values)
+    w = phase_space_correlation(psi.psi, psi.grid, params.mass * v,
+                                params.hbar, SPIN_BASIS, dress)
+    w *= params.mass / (4 * np.pi)
+    # (w_0 + s_hat . w) / 4 pi, on (N_x, N_v, n_theta, n_phi)
+    values = (w[0][:, :, None, None]
+              + np.einsum("inv,tpi->nvtp", w[1:], quad.s_hat))
+    return ExtendedDistribution(psi.grid, (v,), quad, values)
 
 
 def gi_wigner_transform(psi: SpinorField, A, params: PlasmaParams, grid_v,
@@ -165,7 +174,8 @@ def gi_wigner_transform(psi: SpinorField, A, params: PlasmaParams, grid_v,
     A = 0 reduces to the plain transform on the canonical grid.  The spin
     index is contracted with the sphere projector (1 + s_hat.sigma)/4 pi.
     """
-    return _dressed_transform(psi, A, params, grid_v, quad, n_tau, True)
+    dress = line_integral_dressing(A, psi.grid, params, n_tau)
+    return _dressed_transform(psi, params, grid_v, quad, dress)
 
 
 def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
@@ -177,7 +187,13 @@ def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
     same as evaluating the plain transform at p = m v - e A(x).  This is
     the base point of gi_correction_series.
     """
-    return _dressed_transform(psi, A, params, grid_v, quad, 16, False)
+    A_x = _x_component(A, psi.grid.n)
+
+    def dress(y):
+        return np.exp(1j * params.charge * A_x[:, None] * y[None, :]
+                      / params.hbar)
+    return _dressed_transform(psi, params, grid_v, quad,
+                              dress if np.max(np.abs(A_x)) else None)
 
 
 # Sign of the second-order series term connecting the canonical and the
@@ -208,10 +224,7 @@ def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams,
     """
     if order != 2:
         raise ValueError("only the hbar^2 truncation (order=2) is supported")
-    A = np.asarray(A, dtype=float)
-    A_x = A[0] if A.ndim == 2 else A
-    if A_x.shape != (len(f.x),):
-        raise ValueError("A must be sampled on the x axis of f")
+    A_x = _x_component(A, len(f.x))
     e, m, hbar = params.charge, f.mass, params.hbar
     d2A = _x_derivative(f, A_x, 2)
     d3f = _v_derivative(f, 3)

@@ -136,9 +136,7 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
         raise ValueError(
             f"dt too large: dt * omega_c = {dt * omega_c:.3f} >= 0.5")
 
-    dB = fs.metadata.get("dB_nodes")
-    if dB is None:
-        dB = grid.derivative(B_nodes)
+    dB = fs.db_nodes()
     E_rows = np.flatnonzero(np.any(fs.E, axis=1))
     B_rows = np.flatnonzero(np.any(B_nodes, axis=1))
     dB_rows = np.flatnonzero(np.any(dB, axis=1))

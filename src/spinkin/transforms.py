@@ -1,5 +1,9 @@
 """Quasi-distribution transforms: spatial Wigner function and spin Q-function.
 
+Every Wigner-type transform goes through `phase_space_correlation`, which
+contracts the spin indices of the correlation with the operators its
+caller keeps, so the complex pair array W_ab is never formed.
+
 The Wigner transform maps a normalized wavefunction on a periodic grid to a
 real phase-space field f(x, p); the spin Q-transform maps a 2x2 density
 matrix to a strictly positive distribution on the Bloch sphere.  Moments of
@@ -15,14 +19,15 @@ from .grid import SpatialGrid1D
 from .params import PlasmaParams
 from .sphere import SphereQuadrature
 
-# Pauli matrices, stacked as (3, 2, 2)
-SIGMA = np.array([
+# [1, sigma_x, sigma_y, sigma_z], stacked as (4, 2, 2): Re Tr(SPIN_BASIS W)
+# gives the w_mu of the spin quasi-distribution (w_0 + s_hat . w) / 4 pi
+SPIN_BASIS = np.array([
+    [[1, 0], [0, 1]],
     [[0, 1], [1, 0]],
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
-
-IDENTITY2 = np.eye(2, dtype=complex)
+IDENTITY2, SIGMA = SPIN_BASIS[0], SPIN_BASIS[1:]
 
 
 @dataclass
@@ -123,18 +128,21 @@ def conjugate_momentum_axis(grid: SpatialGrid1D, hbar: float) -> np.ndarray:
     return 2.0 * np.pi * hbar / grid.length * np.arange(-grid.n // 2, grid.n // 2)
 
 
-def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar,
+def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
                             dress=None) -> np.ndarray:
-    """y-Fourier transform of the two-point correlation of every component pair.
+    """Spin contractions Re Tr(op W) of the phase-space correlation W.
 
     W_ab(x, p) = dx/(2 pi hbar) sum_y exp(-i p y / hbar) dress(x, y)
                  psi_a(x + y/2) psi_b*(x - y/2)
-    for psi of shape (n_comp, N); returns (n_comp, n_comp, N, len(p_axis))
-    complex.  y runs over one period, the half-point shifts come from
-    trigonometric interpolation onto the doubled grid, and dress, if given,
-    maps the lag vector y to an (N, N) kernel factor (None means 1).
+    for psi of shape (n_comp, N) and Hermitian ops of shape
+    (n_ops, n_comp, n_comp); returns the real (n_ops, N, len(p_axis)).
+    Each op enters the correlation before the dense y sum, so it costs
+    one contraction.  y runs over one period, the half-point shifts come
+    from trigonometric interpolation onto the doubled grid, and dress, if
+    given, maps the lag vector y to an (N, N) kernel factor (None means 1).
     """
     psi = np.asarray(psi, dtype=complex)
+    ops = np.asarray(ops, dtype=complex)
     n = grid.n
     psi_k = np.fft.fft(psi, axis=-1)
     padded = np.zeros((len(psi), 2 * n), dtype=complex)
@@ -148,17 +156,21 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar,
     minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
     y = m * grid.dx
     factor = None if dress is None else dress(y)
-    phases = np.exp(-1j * np.outer(y, p_axis) / hbar)
+    arg = np.outer(y, p_axis) / hbar
+    cos, sin = np.cos(arg), np.sin(arg)
 
-    W = np.empty((len(psi), len(psi), n, len(p_axis)), dtype=complex)
-    for a in range(len(psi)):
-        for b in range(len(psi)):
-            corr = psi2[a][plus] * psi2[b][minus].conj()
-            if factor is not None:
-                corr *= factor
-            np.matmul(corr, phases, out=W[a, b])
-    W *= grid.dx / (2.0 * np.pi * hbar)
-    return W
+    left = psi2[:, plus]
+    out = np.empty((len(ops), n, len(p_axis)))
+    for k, op in enumerate(ops):
+        # sum_b op_ba psi_b*(x - y/2)
+        right = (op.T @ psi2.conj())[:, minus]
+        corr = np.einsum("axy,axy->xy", left, right)
+        if factor is not None:
+            corr *= factor
+        # Re[corr exp(-i arg)]: two real products instead of one complex
+        out[k] = corr.real @ cos + corr.imag @ sin
+    out *= grid.dx / (2.0 * np.pi * hbar)
+    return out
 
 
 def wigner_transform(psi: WaveFunction1D, params: PlasmaParams,
@@ -188,9 +200,8 @@ def wigner_transform(psi: WaveFunction1D, params: PlasmaParams,
         p_max = params.mass * v_max
         p_axis = -p_max + 2.0 * p_max / n_v * np.arange(n_v)
 
-    W = phase_space_correlation(psi.psi[None], grid, p_axis, hbar)
-    # copied so the field does not keep the complex correlation alive
-    values = W[0, 0].real.copy()
+    values = phase_space_correlation(psi.psi[None], grid, p_axis, hbar,
+                                     [[[1.0]]])[0]
     return PhaseSpaceField(x=grid.x, p=p_axis, values=values, mass=params.mass)
 
 
@@ -214,9 +225,8 @@ def spin_q_transform(rho, quad: SphereQuadrature) -> SpinDistribution:
     mat = rho.rho if isinstance(rho, DensityMatrixSpin) else np.asarray(rho, dtype=complex)
     if np.max(np.abs(mat - mat.conj().T)) >= 1e-12:
         raise ValueError("density matrix is not Hermitian")
-    t0 = np.trace(mat)
-    tvec = np.einsum("ijk,kj->i", SIGMA, mat)
-    values = (t0 + np.einsum("tpi,i->tp", quad.s_hat, tvec)) / (4.0 * np.pi)
+    w = np.einsum("mjk,kj->m", SPIN_BASIS, mat)      # Tr(sigma_mu rho)
+    values = (w[0] + quad.s_hat @ w[1:]) / (4.0 * np.pi)
     if np.max(np.abs(values.imag)) >= 1e-13:
         raise ValueError("Q-function acquired a non-negligible imaginary part")
     return SpinDistribution(quad=quad, values=values.real)

@@ -130,6 +130,55 @@ class TestTransform:
         else:
             assert arr.shape == (64, 64)
 
+    def test_gi_and_wigner_make_one_kernel_call_without_sphere(
+            self, tmp_path, capsys, monkeypatch):
+        from spinkin import transforms
+        from spinkin.gauge import gi_wigner_transform, kinetic_wigner_transform
+        from spinkin.grid import SpatialGrid1D
+        from spinkin.params import PlasmaParams
+        from spinkin.pauli import SpinorField
+        from spinkin.sphere import SphereQuadrature
+
+        plain = self.make_state(tmp_path)
+        data, meta = read_snapshot(plain)
+        extra = meta["extra"]
+        grid = SpatialGrid1D(data.shape[1], extra["length"])
+        A_x = 0.3 * np.sin(2 * np.pi * grid.x / grid.length) + 0.1 * np.cos(
+            4 * np.pi * grid.x / grid.length)
+        shifted = str(tmp_path / "shifted")
+        write_snapshot(shifted, data, meta["axes"],
+                       extra=dict(extra, A_x=A_x.tolist()))
+
+        params = PlasmaParams(hbar=extra["hbar"])
+        psi = SpinorField(grid, data[:, :, 0] + 1j * data[:, :, 1]).normalized()
+        v = transforms.conjugate_momentum_axis(grid, params.hbar) / params.mass
+        refs = {"gi": gi_wigner_transform(psi, A_x, params, v),
+                "wigner": kinetic_wigner_transform(psi, np.zeros(grid.n),
+                                                   params, v)}
+
+        kernel = transforms.phase_space_correlation
+        ops_seen, spheres = [], []
+
+        def counted_kernel(*args, **kwargs):
+            ops_seen.append(np.shape(args[4]))
+            return kernel(*args, **kwargs)
+
+        def counted_sphere(quad):
+            spheres.append((quad.n_theta, quad.n_phi))
+
+        monkeypatch.setattr(transforms, "phase_space_correlation",
+                            counted_kernel)
+        monkeypatch.setattr(SphereQuadrature, "__post_init__", counted_sphere)
+        for base, kind in ((shifted, "gi"), (plain, "wigner")):
+            ops_seen.clear()
+            assert main(["transform", "--input", base, "--kind", kind]) == 0
+            got, _ = read_snapshot(capsys.readouterr().out.strip())
+            f = refs[kind]
+            ref = np.sum(f.values * f.quad.weights, axis=(2, 3))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert spheres == []
+            assert ops_seen == [(1, 2, 2)]
+
     def test_wrong_shape_rejected(self, tmp_path, capsys):
         base = str(tmp_path / "bad")
         write_snapshot(base, np.zeros((3, 4)), {"a": {"n": 3}, "b": {"n": 4}})

@@ -5,6 +5,7 @@ from spinkin import sphere
 from spinkin.eulerian import (
     ExtendedDistribution,
     _quantum_coupling,
+    _rotate_sphere,
     advect_axis,
     eulerian_step,
     quantum_term_increment,
@@ -343,3 +344,34 @@ class TestKernelsMatchReference:
                         spin_vec=[0.4, 0.2, 0.3])
         eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
         assert counts == {"sph_harm_y": 0, "batched": 1, "scalar": 0}
+
+    def test_rotation_keys_merge_rows_equal_to_rounding(self, monkeypatch):
+        # B_z = 0.5 + 0.2 sin x on 64 nodes takes 33 distinct values, of
+        # which exact row equality tells 52 apart
+        Q = sphere.SphereQuadrature
+        batched = Q.rotation_interp_matrices
+        built = []
+
+        def counted(quad, axes, angles, lmax=None):
+            built.append(len(angles))
+            return batched(quad, axes, angles, lmax)
+
+        monkeypatch.setattr(Q, "rotation_interp_matrices", counted)
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        fs = FieldState(grid)
+        fs.B[0] = 0.3
+        fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
+        fs.metadata["staggered"] = False
+        f = gaussian_1v(grid, uniform_velocity_axis(8, 3.0),
+                        spin_vec=[0.4, 0.2, 0.3])
+        dt = 0.02
+        eulerian_step(f, fs, PARAMS, dt)
+        assert built == [33]
+
+        angle = (2 * PARAMS.mu_B / PARAMS.hbar
+                 * np.linalg.norm(fs.B, axis=0) * dt)
+        per_node = batched(QUAD, fs.B.T, angle)
+        flat = f.values.reshape(grid.n, -1, QUAD.n_theta * QUAD.n_phi)
+        ref = np.einsum("xvj,xij->xvi", flat, per_node).reshape(f.values.shape)
+        got = _rotate_sphere(f.values, QUAD, fs.B, PARAMS, dt)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

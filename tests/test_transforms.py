@@ -7,6 +7,8 @@ from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.sphere import SphereQuadrature
 from spinkin.transforms import (
+    SIGMA,
+    SPIN_BASIS,
     DensityMatrixSpin,
     WaveFunction1D,
     expect_phase_space,
@@ -166,6 +168,27 @@ def reference_wigner(psi, grid, p_axis, hbar):
     return (grid.dx / (2.0 * np.pi * hbar)) * (corr @ phases).real
 
 
+def reference_pairs(psi, grid, p_axis, hbar, factor):
+    """Every W_ab as the all-pairs loop computed it before the spin
+    contraction moved into the kernel."""
+    n = grid.n
+    psi_k = np.fft.fft(psi, axis=-1)
+    padded = np.zeros((len(psi), 2 * n), dtype=complex)
+    padded[:, :n // 2] = psi_k[:, :n // 2]
+    padded[:, -n // 2:] = psi_k[:, -n // 2:]
+    psi2 = np.fft.ifft(padded, axis=-1) * 2.0
+    m = np.arange(-n // 2, n // 2)
+    idx = np.arange(n)
+    plus = (2 * idx[:, None] + m[None, :]) % (2 * n)
+    minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
+    phases = np.exp(-1j * np.outer(m * grid.dx, p_axis) / hbar)
+    W = np.empty((len(psi), len(psi), n, len(p_axis)), dtype=complex)
+    for a in range(len(psi)):
+        for b in range(len(psi)):
+            W[a, b] = (psi2[a][plus] * psi2[b][minus].conj() * factor) @ phases
+    return W * grid.dx / (2.0 * np.pi * hbar)
+
+
 class TestCorrelationKernel:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48]),
@@ -183,15 +206,40 @@ class TestCorrelationKernel:
         ref = reference_wigner(psi.psi, grid, f.p, hbar)
         assert np.max(np.abs(f.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48]),
+           hbar=st.floats(0.3, 2.0), custom_axis=st.booleans(),
+           dressed=st.booleans())
+    def test_spin_basis_matches_pair_loop(self, seed, n, hbar, custom_axis,
+                                          dressed):
+        grid = SpatialGrid1D(n, 12.0)
+        psi = random_state(seed, 2, grid)
+        p = (np.linspace(-2.5, 2.5, 25)[:-1] if custom_axis
+             else conjugate_momentum_axis(grid, hbar))
+
+        def dress(y):
+            return np.exp(0.7j * np.sin(grid.x)[:, None] * y[None, :] / hbar)
+
+        got = phase_space_correlation(psi, grid, p, hbar, SPIN_BASIS,
+                                      dress if dressed else None)
+        W = reference_pairs(psi, grid, p, hbar,
+                            dress(np.arange(-n // 2, n // 2) * grid.dx)
+                            if dressed else 1.0)
+        ref = np.real([W[0, 0] + W[1, 1],
+                       *np.einsum("iab,banv->inv", SIGMA, W)])
+        assert got.shape == (4, n, len(p))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_diagonal_pairs_are_wigner_transforms(self):
         grid = SpatialGrid1D(64, 16.0)
         psi = random_state(4, 3, grid)
         p = conjugate_momentum_axis(grid, 1.0)
-        W = phase_space_correlation(psi, grid, p, 1.0)
-        assert W.shape == (3, 3, 64, 64)
+        projectors = np.array([np.diag(e) for e in np.eye(3)])
+        W = phase_space_correlation(psi, grid, p, 1.0, projectors)
+        assert W.shape == (3, 64, 64)
         for a in range(3):
             ref = reference_wigner(psi[a], grid, p, 1.0)
-            assert np.max(np.abs(W[a, a].real - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(W[a] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSpinQTransform:
