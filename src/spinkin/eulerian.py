@@ -284,7 +284,8 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     # the quantum spin-velocity flux is explicit: evaluated once on the
     # step input, so a distribution with no s_hat dependence is untouched
     if quantum_term:
-        q_inc = quantum_term_increment(f, fs, params, dt / 2)
+        q_inc = (dt / 2) * _v_derivative(_quantum_coupling(f, dB, params), 1,
+                                         dvs[0])
 
     def v_half(vals):
         out = advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter)

@@ -5,11 +5,12 @@ is therefore gauge dependent.  Dressing the transform kernel with a
 straight-line integral of the vector potential produces a distribution in
 the kinetic velocity that is invariant under static gauge changes.  This
 module provides the state-level gauge transformation, the dressed
-transform with Gauss quadrature for the line integral, the differential
-correction series connecting the two distributions at second order in
-hbar, and the corrected field operators at the same order.  The dressing
-is a kernel factor of the lag y (`line_integral_dressing`) for the shared
-correlation kernel of transforms.
+transform with the line integral in closed form (each Fourier mode of A
+averages to a sinc of the lag), the differential correction series
+connecting the two distributions at second order in hbar, and the
+corrected field operators at the same order.  The dressing is a kernel
+factor of the lag y (`line_integral_dressing`) for the shared correlation
+kernel of transforms.
 """
 
 from dataclasses import dataclass, field
@@ -85,7 +86,7 @@ def gauge_transform_state(psi: SpinorField, pot: ExternalPotentials,
     phi is unchanged for the static gauges supported here; E and B are
     untouched so every physical observable of the state is invariant.
     """
-    if psi.grid is not g.grid and psi.grid.n != g.grid.n:
+    if psi.grid != g.grid:
         raise ValueError("state and gauge specification use different grids")
     lam, dlam = g.sample(params)
     phase = np.exp(-1j * params.charge * lam / params.hbar)
@@ -98,23 +99,18 @@ def gauge_transform_state(psi: SpinorField, pot: ExternalPotentials,
     return psi_new, pot_new
 
 
-def _tau_average(A_x, grid: SpatialGrid1D, y, n_tau):
+def _tau_average(A_x, grid: SpatialGrid1D, y):
     """Straight-line average int_{-1/2}^{1/2} A(x + tau y) dtau.
 
-    Returns an (N_x, len(y)) array; the field is evaluated spectrally so
-    polynomial-in-exp profiles are exact, and the tau integral uses
-    Gauss-Legendre nodes.
+    Returns an (N_x, len(y)) array.  Each Fourier mode c_k e^{ikx} of the
+    field averages to c_k e^{ikx} sinc(k y / 2) exactly, so the average is
+    one product over the modes with non-negligible c_k.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_tau)
-    nodes, weights = nodes / 2.0, weights / 2.0     # map to (-1/2, 1/2)
     c = np.fft.fft(A_x) / grid.n
-    k = grid.k
-    keep = np.abs(c) > 1e-14 * max(np.max(np.abs(c)), 1e-300)
-    out = np.zeros((grid.n, len(y)), dtype=complex)
-    for ck, kk in zip(c[keep], k[keep]):
-        shift = weights @ np.exp(1j * kk * np.outer(nodes, y))   # (len(y),)
-        out += ck * np.exp(1j * kk * grid.x)[:, None] * shift[None, :]
-    return out.real
+    keep = np.abs(c) > 1e-14 * np.max(np.abs(c))
+    k = grid.k[keep]
+    modes = (c[keep] * np.exp(1j * np.outer(grid.x, k))).real
+    return modes @ np.sinc(np.outer(k, y) / (2 * np.pi))
 
 
 def _x_component(A, n):
@@ -126,27 +122,20 @@ def _x_component(A, n):
     return A_x
 
 
-def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams,
-                           n_tau=16):
+def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams):
     """Kernel factor exp{(i e / hbar) y int_{-1/2}^{1/2} A(x + tau y) dtau}.
 
     The `dress` callable of the lag vector y for phase_space_correlation,
-    or None for A = 0; the tau quadrature is checked against twice the
-    nodes on every call.
+    or None for A = 0.  The tau average is exact for every Fourier mode of
+    A on the grid: mode k contributes its value at x times sinc(k y / 2).
     """
     A_x = _x_component(A, grid.n)
     if np.max(np.abs(A_x)) == 0:
         return None
 
     def dress(y):
-        abar = _tau_average(A_x, grid, y, n_tau)
-        abar2 = _tau_average(A_x, grid, y, 2 * n_tau)
-        defect = np.max(np.abs(abar2 - abar))
-        if defect > 1e-10:
-            raise ValueError(
-                f"tau quadrature with {n_tau} nodes has not converged "
-                f"(doubling defect {defect:.3e} > 1e-10)")
-        return np.exp(1j * params.charge * abar2 * y[None, :] / params.hbar)
+        abar = _tau_average(A_x, grid, y)
+        return np.exp(1j * params.charge * abar * y[None, :] / params.hbar)
     return dress
 
 
@@ -165,16 +154,17 @@ def _dressed_transform(psi, params, grid_v, quad, dress):
 
 
 def gi_wigner_transform(psi: SpinorField, A, params: PlasmaParams, grid_v,
-                        quad: SphereQuadrature = None,
-                        n_tau=16) -> ExtendedDistribution:
+                        quad: SphereQuadrature = None) -> ExtendedDistribution:
     """Velocity-space distribution from the line-integral-dressed kernel.
 
     The kernel phase is exp{-(i/hbar)[m v - e int dtau A(x + tau y)] y},
-    which cancels the phase a gauge change imprints on the density matrix.
-    A = 0 reduces to the plain transform on the canonical grid.  The spin
-    index is contracted with the sphere projector (1 + s_hat.sigma)/4 pi.
+    which cancels the phase a gauge change imprints on the density matrix;
+    the tau average is exact for every mode the grid resolves (see
+    line_integral_dressing).  A = 0 reduces to the plain transform on the
+    canonical grid.  The spin index is contracted with the sphere
+    projector (1 + s_hat.sigma)/4 pi.
     """
-    dress = line_integral_dressing(A, psi.grid, params, n_tau)
+    dress = line_integral_dressing(A, psi.grid, params)
     return _dressed_transform(psi, params, grid_v, quad, dress)
 
 
@@ -214,16 +204,14 @@ def _v_derivative(f: PhaseSpaceField, order):
     return SpatialGrid1D(n_v, n_v * f.dp / f.mass).derivative(f.values, order)
 
 
-def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams,
-                         order=2) -> PhaseSpaceField:
+def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams
+                         ) -> PhaseSpaceField:
     """Second-order differential map from the canonical to the dressed form.
 
     f_GI = f + sign (e hbar^2 / 24 m^3) (d2A/dx2) d3f/dv3, the left x
     derivatives landing on the potential and the right v derivatives on
-    the distribution.  Only the hbar^2 truncation is supported.
+    the distribution.  The series is truncated at hbar^2.
     """
-    if order != 2:
-        raise ValueError("only the hbar^2 truncation (order=2) is supported")
     A_x = _x_component(A, len(f.x))
     e, m, hbar = params.charge, f.mass, params.hbar
     d2A = _x_derivative(f, A_x, 2)

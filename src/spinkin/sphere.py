@@ -11,14 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-try:
-    from scipy.special import sph_harm_y
-except ImportError:  # scipy < 1.15
-    from scipy.special import sph_harm
-
-    def sph_harm_y(l, m, theta, phi):
-        return sph_harm(m, l, phi, theta)
-
 
 def barycentric_diff_matrix(nodes):
     """First-derivative collocation matrix for arbitrary distinct nodes."""
@@ -148,6 +140,13 @@ class SphereQuadrature:
 
     def harmonic_matrix(self, lmax=None):
         """(n_nodes, n_coeff) matrix of Y_lm values at the grid nodes."""
+        try:
+            from scipy.special import sph_harm_y
+        except ImportError:  # scipy < 1.15
+            from scipy.special import sph_harm
+
+            def sph_harm_y(l, m, theta, phi):
+                return sph_harm(m, l, phi, theta)
         if lmax is None:
             lmax = self.n_theta - 1
         theta = np.repeat(self.theta, self.n_phi)

@@ -145,6 +145,24 @@ class TestQuantumTerm:
         off = eulerian_step(f, fs, PARAMS, dt, quantum_term=False)
         assert np.max(np.abs(on.values - off.values)) < 1e-13
 
+    def test_field_gradient_evaluated_once_per_step(self, monkeypatch):
+        # a tilted B with no metadata['dB_nodes'], so d_x B is the spectral
+        # derivative; the v acceleration and the quantum flux share it
+        grid, v, fs, f = self.setup_case()
+        fs.B[0] = 0.3
+        assert "dB_nodes" not in fs.metadata
+        db_nodes = FieldState.db_nodes
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return db_nodes(self)
+
+        monkeypatch.setattr(FieldState, "db_nodes", counted)
+        for _ in range(3):
+            f = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        assert len(calls) == 3
+
     def test_one_step_difference_matches_analytic_increment(self):
         grid, v, fs, f = self.setup_case()
         errs = []
@@ -320,7 +338,7 @@ class TestKernelsMatchReference:
 
     def test_nonuniform_step_builds_rotations_once_without_harmonics(
             self, monkeypatch):
-        counts = {"sph_harm_y": 0, "batched": 0, "scalar": 0}
+        counts = {"harmonic": 0, "batched": 0, "scalar": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -329,8 +347,8 @@ class TestKernelsMatchReference:
             return wrapper
 
         Q = sphere.SphereQuadrature
-        monkeypatch.setattr(sphere, "sph_harm_y",
-                            counted("sph_harm_y", sphere.sph_harm_y))
+        monkeypatch.setattr(Q, "harmonic_matrix",
+                            counted("harmonic", Q.harmonic_matrix))
         monkeypatch.setattr(Q, "rotation_interp_matrices",
                             counted("batched", Q.rotation_interp_matrices))
         monkeypatch.setattr(Q, "rotation_interp_matrix",
@@ -343,7 +361,7 @@ class TestKernelsMatchReference:
         f = gaussian_1v(grid, uniform_velocity_axis(16, 3.0),
                         spin_vec=[0.4, 0.2, 0.3])
         eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
-        assert counts == {"sph_harm_y": 0, "batched": 1, "scalar": 0}
+        assert counts == {"harmonic": 0, "batched": 1, "scalar": 0}
 
     def test_rotation_keys_merge_rows_equal_to_rounding(self, monkeypatch):
         # B_z = 0.5 + 0.2 sin x on 64 nodes takes 33 distinct values, of

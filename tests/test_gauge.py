@@ -12,6 +12,7 @@ from spinkin.gauge import (
     gi_correction_series,
     gi_wigner_transform,
     kinetic_wigner_transform,
+    line_integral_dressing,
 )
 from spinkin.grid import SpatialGrid1D
 from spinkin.kinetic_residual import PHI, THETA, VX, X, gi_kinetic_residual
@@ -94,6 +95,15 @@ class TestGaugeTransformState:
         with pytest.raises(ValueError, match="family"):
             GaugeTransformSpec(grid, "quadratic", dict(alpha=1.0))
 
+    def test_grid_of_other_length_rejected(self):
+        # same node count, different length: Lambda would be sampled at the
+        # wrong x
+        grid, psi, pot = self.setup_pair()
+        other = SpatialGrid1D(grid.n, 2 * grid.length)
+        g = GaugeTransformSpec(other, "single_mode", dict(amplitude=0.4))
+        with pytest.raises(ValueError, match="different grids"):
+            gauge_transform_state(psi, pot, g, PARAMS)
+
     def test_unused_parameters_rejected(self):
         grid, psi, pot = self.setup_pair()
         g = GaugeTransformSpec(grid, "constant", dict(value=1.0, slope=2.0))
@@ -162,13 +172,34 @@ class TestDressedTransform:
         f2 = kinetic_wigner_transform(psi2, A2, PARAMS, v)
         assert np.max(np.abs(f1.values - f2.values)) > 1e-3
 
-    def test_unconverged_line_quadrature_rejected(self):
+    def test_line_integral_matches_reference(self):
         grid = SpatialGrid1D(128, 16.0)
         v = np.linspace(-4, 4, 33)[:-1]
         psi = init_state("gaussian", dict(x0=8.0, width=1.2), grid)
         A = 1.0 * np.sin(2 * np.pi * 3 * grid.x / grid.length)
-        with pytest.raises(ValueError, match="quadrature"):
-            gi_wigner_transform(psi, A, PARAMS, v, n_tau=1)
+        quad = SphereQuadrature(4, 8)
+        got = np.moveaxis(gi_wigner_transform(psi, A, PARAMS, v, quad).values,
+                          (0, 1), (2, 3))
+        ref = reference_dressed(psi, A, PARAMS, v, quad, line_integral=True)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("mode", [1, 12, 20, 31])
+    def test_line_integral_dressing_matches_analytic_phase(self, mode):
+        # A = a cos(kx + phi): the line integral of A over [x - y/2, x + y/2]
+        # is a [sin(k(x + y/2) + phi) - sin(k(x - y/2) + phi)] / k
+        grid = SpatialGrid1D(64, 10.0)
+        a, phi = 0.7, 0.4
+        k = 2 * np.pi * mode / grid.length
+        A = a * np.cos(k * grid.x + phi)
+        y = np.arange(-grid.n // 2, grid.n // 2) * grid.dx
+        xp = grid.x[:, None] + y[None, :] / 2
+        xm = grid.x[:, None] - y[None, :] / 2
+        ref = (PARAMS.charge / PARAMS.hbar) * a * (
+            np.sin(k * xp + phi) - np.sin(k * xm + phi)) / k
+        got = line_integral_dressing(A, grid, PARAMS)(y)
+        assert np.allclose(np.abs(got), 1.0, rtol=0, atol=1e-15)
+        err = np.abs(np.angle(got * np.exp(-1j * ref)))
+        assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
 
 
 def reference_dressed(psi, A_x, params, v, quad, line_integral, n_tau=16):
@@ -273,14 +304,6 @@ class TestCorrectionSeries:
         assert abs(raw_slope - 2.0) < 0.2
         assert abs(cor_slope - 4.0) < 0.2
         assert all(c < r for c, r in zip(cor, raw))
-
-    def test_unsupported_order_rejected(self):
-        grid = SpatialGrid1D(32, 10.0)
-        v = np.linspace(-2, 2, 17)[:-1]
-        vals = np.exp(-grid.x[:, None] * 0 - v[None, :] ** 2)
-        f = PhaseSpaceField(grid.x, PARAMS.mass * v, vals, PARAMS.mass)
-        with pytest.raises(ValueError, match="order"):
-            gi_correction_series(f, np.zeros(grid.n), PARAMS, order=4)
 
 
 class TestTildeFields:

@@ -1,5 +1,6 @@
 """Package layout rules: no module reaches into another's private names,
-and the numeric modules load without the symbolic algebra stack."""
+the numeric modules load without the symbolic algebra stack, and the
+Eulerian solver loads without scipy.special."""
 
 import ast
 import os
@@ -28,6 +29,9 @@ def test_no_private_cross_module_imports():
 
 def test_numeric_modules_do_not_load_sympy():
     code = ("import sys\n"
+            "import spinkin.eulerian, spinkin.sphere\n"
+            "assert 'scipy.special' not in sys.modules, "
+            "'scipy.special was imported'\n"
             "import spinkin.cli, spinkin.gauge, spinkin.transforms\n"
             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
     env = dict(os.environ,

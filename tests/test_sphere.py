@@ -4,7 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinkin.rotation import rodrigues_rotate
-from spinkin.sphere import SphereQuadrature, sph_harm_y
+from spinkin.sphere import SphereQuadrature
+
+try:
+    from scipy.special import sph_harm_y
+except ImportError:  # scipy < 1.15
+    from scipy.special import sph_harm
+
+    def sph_harm_y(l, m, theta, phi):
+        return sph_harm(m, l, phi, theta)
 
 
 @pytest.fixture(scope="module")
