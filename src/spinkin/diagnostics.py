@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 @dataclass
@@ -100,6 +99,10 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
     without a dominant peak (peak power < 10x the median) or with fewer
     than 8 resolved periods is flagged inconclusive.
     """
+    # scipy.optimize is most of the import time of the package; only the
+    # fit needs it
+    from scipy.optimize import curve_fit
+
     if column not in series.columns:
         raise KeyError(f"no column '{column}' in series")
     t = series.time

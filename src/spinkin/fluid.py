@@ -1,12 +1,26 @@
 """Madelung quantum-fluid solver (scalar case) and spin-density transport.
 
 The momentum equation carries the Bohm-de Broglie term; spatial derivatives
-are spectral on the periodic grid and time stepping is classical RK4.  Spin
-density transport advances by exact rotation about the instantaneous
+are spectral on the periodic grid and time stepping is classical RK4.  Each
+RK4 stage is one spectral evaluation: one rfft of the stacked rows
+[n u, u, phi source, sqrt n], one product with factors precomputed per grid
+and parameters, one irfft, and one more rfft/irfft pair for the outer
+derivative of the Bohm quotient.  The Nyquist convention is that of
+SpatialGrid1D.derivative: the mode is zeroed for first derivatives and kept
+for the second derivative of sqrt n.
+
+The electrostatic coupling `phi` is None (no field), an array (an external
+potential, fixed over the step) or the string "poisson": the self-consistent
+potential of d^2 phi/dx^2 = q (n - mean n) / epsilon0, that is the electron
+charge -q n over a neutralising background equal to the mean of n, solved
+in the stage spectrum as phi_k = -q n_k / (epsilon0 k^2) at k != 0.
+
+Spin density transport advances by exact rotation about the instantaneous
 effective field, conserving |s| to rounding.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +75,49 @@ def _check_floor(grid, n, floor_rel):
         raise DensityFloorError(grid.x[i], n.min(), floor)
 
 
+@lru_cache(maxsize=8)
+def _stage_factors(grid: SpatialGrid1D, params: PlasmaParams, poisson: bool):
+    """Read-only spectral factors (rfft order) of one RK4 stage.
+
+    Rows act on [n u, u, phi source, sqrt n]: d/dx, d/dx, (q/m) d/dx of
+    phi (of the Poisson potential of n when `poisson`), and
+    (hbar^2 / 2 m^2) d^2/dx^2.  The second value is d/dx alone, for the
+    outer derivative of the Bohm quotient.
+    """
+    k = grid.k[: grid.n // 2 + 1]
+    ddx = 1j * k
+    ddx[-1] = 0.0
+    field = (params.charge / params.mass) * ddx
+    if poisson:
+        field[1:] *= -params.charge / (params.epsilon0 * k[1:] ** 2)
+    factors = np.stack([ddx, ddx, field,
+                        -(params.hbar**2 / (2 * params.mass**2)) * k**2])
+    factors.flags.writeable = False
+    ddx.flags.writeable = False
+    return factors, ddx
+
+
+def _fluid_rhs(grid: SpatialGrid1D, phi, params: PlasmaParams, n_floor_rel):
+    """The right-hand side (n, u) -> (dn/dt, du/dt) for one coupling `phi`
+    (see the module docstring); each call is four FFT calls."""
+    poisson = isinstance(phi, str)
+    if poisson and phi != "poisson":
+        raise ValueError(f"phi must be None, an array or 'poisson', got {phi!r}")
+    if not poisson:
+        phi = np.zeros(grid.n) if phi is None else np.asarray(phi, dtype=float)
+    factors, ddx = _stage_factors(grid, params, poisson)
+
+    def rhs(n, u):
+        _check_floor(grid, n, n_floor_rel)
+        sqrt_n = np.sqrt(n)
+        rows = np.stack([n * u, u, n if poisson else phi, sqrt_n])
+        d = np.fft.irfft(np.fft.rfft(rows) * factors, grid.n)
+        bohm = np.fft.irfft(np.fft.rfft(d[3] / sqrt_n) * ddx, grid.n)
+        return -d[0], -u * d[1] + d[2] + bohm
+
+    return rhs
+
+
 def fluid_rhs(state: FluidState, phi, params: PlasmaParams,
               n_floor_rel=DENSITY_FLOOR_REL):
     """Time derivatives (dn/dt, du/dt) of the quantum fluid equations.
@@ -68,26 +125,14 @@ def fluid_rhs(state: FluidState, phi, params: PlasmaParams,
     dn/dt = -d(nu)/dx
     du/dt = -u du/dx + (e/m) dphi/dx + Bohm force
     """
-    grid = state.grid
-    _check_floor(grid, state.n, n_floor_rel)
-    phi = np.zeros(grid.n) if phi is None else np.asarray(phi, dtype=float)
-    dn = -grid.derivative(state.n * state.u)
-    du = (-state.u * grid.derivative(state.u)
-          + (params.charge / params.mass) * grid.derivative(phi)
-          + bohm_force(grid, state.n, params))
-    return dn, du
+    return _fluid_rhs(state.grid, phi, params, n_floor_rel)(state.n, state.u)
 
 
 def step_fluid(state: FluidState, phi, params: PlasmaParams, dt,
                n_floor_rel=DENSITY_FLOOR_REL) -> FluidState:
-    """One RK4 step.  `phi` may be an array or a callable n -> phi for
-    self-consistent (Poisson-coupled) runs; it is re-evaluated per stage."""
-    phi_of = phi if callable(phi) else (lambda n: phi)
-
-    def rhs(n, u):
-        st = FluidState(state.grid, n, u)
-        return fluid_rhs(st, phi_of(n), params, n_floor_rel)
-
+    """One RK4 step.  `phi` is None, an external potential array or
+    "poisson" for the self-consistent field, re-solved in every stage."""
+    rhs = _fluid_rhs(state.grid, phi, params, n_floor_rel)
     n0, u0 = state.n, state.u
     k1n, k1u = rhs(n0, u0)
     k2n, k2u = rhs(n0 + dt / 2 * k1n, u0 + dt / 2 * k1u)

@@ -156,21 +156,11 @@ def _fluid_setup(cfg):
     k = 2 * np.pi * cfg.mode / cfg.length
     n = cfg.density * (1 + cfg.perturbation * np.cos(k * grid.x))
     state = FluidState(grid, n, np.zeros(grid.n))
-
-    def phi_of(n_now):
-        rho_c = -params.charge * (n_now - np.mean(n_now))
-        # re-zero the mean so rounding residue cannot trip the neutrality
-        # check when the density perturbation passes through zero
-        rho_c -= np.mean(rho_c)
-        return solve_poisson(rho_c, grid, params)[0]
-
-    return dict(fluid=state, phi_of=phi_of, params=params, mode=cfg.mode,
-                n0=cfg.density)
+    return dict(fluid=state, params=params, mode=cfg.mode, n0=cfg.density)
 
 
 def _fluid_step(state, dt):
-    state["fluid"] = step_fluid(state["fluid"], state["phi_of"],
-                                state["params"], dt)
+    state["fluid"] = step_fluid(state["fluid"], "poisson", state["params"], dt)
     return state
 
 
@@ -179,8 +169,11 @@ def _fluid_diagnose(state):
     grid = fl.grid
     n_k = np.fft.fft(fl.n) / grid.n
     kinetic = 0.5 * params.mass * grid.integrate(fl.n * fl.u**2)
-    phi = state["phi_of"](fl.n)
-    E_x = -grid.derivative(phi)
+    rho_c = -params.charge * (fl.n - np.mean(fl.n))
+    # re-zero the mean so rounding residue cannot trip the neutrality
+    # check when the density perturbation passes through zero
+    rho_c -= np.mean(rho_c)
+    _, E_x = solve_poisson(rho_c, grid, params)
     return dict(kinetic_energy=kinetic,
                 field_energy=0.5 * params.epsilon0 * grid.integrate(E_x**2),
                 total_charge=-params.charge * fl.mass(),

@@ -1,6 +1,7 @@
 """Package layout rules: no module reaches into another's private names,
-the numeric modules load without the symbolic algebra stack, and the
-Eulerian solver loads without scipy.special."""
+the numeric modules load without the symbolic algebra stack, the Eulerian
+solver loads without scipy.special and the command line without
+scipy.optimize."""
 
 import ast
 import os
@@ -32,7 +33,10 @@ def test_numeric_modules_do_not_load_sympy():
             "import spinkin.eulerian, spinkin.sphere\n"
             "assert 'scipy.special' not in sys.modules, "
             "'scipy.special was imported'\n"
-            "import spinkin.cli, spinkin.gauge, spinkin.transforms\n"
+            "import spinkin.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, "
+            "'scipy.optimize was imported'\n"
+            "import spinkin.gauge, spinkin.transforms\n"
             "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(

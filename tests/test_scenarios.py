@@ -58,11 +58,22 @@ class TestRunDirectory:
 
 
 class TestDeterminism:
-    def test_identical_config_gives_identical_csv(self, tmp_path):
-        kw = dict(scenario="plasma_osc", n_x=16, n_particles=2000,
-                  dt=0.1, t_end=2.0, seed=3)
-        d1, _ = run(tmp_path / "a", **kw)
+    @pytest.mark.parametrize("kw", [
+        dict(scenario="precession", B0=0.5, n_particles=200, n_x=8,
+             dt=0.1, t_end=1.0),
+        dict(scenario="plasma_osc", n_x=16, n_particles=2000, dt=0.1,
+             t_end=2.0),
+        dict(scenario="plasma_osc_fluid", n_x=16, dt=0.05, t_end=2.0),
+        dict(scenario="free_stream", n_x=16, n_v=8, n_theta=2, n_phi=4,
+             dt=0.025, t_end=0.25),
+        dict(scenario="stern_gerlach", B1=0.1, n_particles=100, n_x=16,
+             dt=0.02, t_end=0.2),
+    ], ids=lambda kw: kw["scenario"])
+    def test_identical_config_gives_identical_csv(self, tmp_path, kw):
+        kw = dict(kw, seed=3)
+        d1, s1 = run(tmp_path / "a", **kw)
         d2, _ = run(tmp_path / "b", **kw)
+        assert s1 == "completed"
         b1 = open(os.path.join(d1, "diagnostics.csv"), "rb").read()
         b2 = open(os.path.join(d2, "diagnostics.csv"), "rb").read()
         assert b1 == b2
