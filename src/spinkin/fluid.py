@@ -124,6 +124,8 @@ def fluid_rhs(state: FluidState, phi, params: PlasmaParams,
 
     dn/dt = -d(nu)/dx
     du/dt = -u du/dx + (e/m) dphi/dx + Bohm force
+
+    `phi` is None, an external potential array or "poisson".
     """
     return _fluid_rhs(state.grid, phi, params, n_floor_rel)(state.n, state.u)
 
