@@ -95,9 +95,12 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
 
     The dominant FFT peak seeds a nonlinear fit of
     a * exp(-gamma t) * cos(omega t + phase) + offset; the uncertainty is
-    the RMS fit residual relative to the oscillation amplitude.  A series
-    without a dominant peak (peak power < 10x the median) or with fewer
-    than 8 resolved periods is flagged inconclusive.
+    the RMS fit residual relative to the oscillation amplitude.  The fit
+    uses the model's analytic Jacobian and runs to xtol = ftol = 1e-12, so
+    the numbers it reports are the least-squares minimum, not where the
+    iteration stopped.  A series without a dominant peak (peak power < 10x
+    the median) or with fewer than 8 resolved periods is flagged
+    inconclusive.
     """
     # scipy.optimize is most of the import time of the package; only the
     # fit needs it
@@ -126,12 +129,22 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
     def model(tt, a, gamma, omega, phase, offset):
         return a * np.exp(-gamma * tt) * np.cos(omega * tt + phase) + offset
 
+    def model_jac(tt, a, gamma, omega, phase, offset):
+        # a forward difference cannot resolve the derivative in gamma or
+        # offset near 0 (its step scales with the parameter), so the fit
+        # would stall short of the minimum
+        decay = np.exp(-gamma * tt)
+        cos, sin = np.cos(omega * tt + phase), np.sin(omega * tt + phase)
+        return np.column_stack([decay * cos, -tt * a * decay * cos,
+                                -tt * a * decay * sin, -a * decay * sin,
+                                np.ones_like(tt)])
+
     a0 = np.sqrt(2 * np.mean(yc**2))
     try:
         popt, _ = curve_fit(
             model, t - t[0], y,
-            p0=[a0, 0.0, omega0, 0.0, np.mean(y)],
-            maxfev=20000)
+            p0=[a0, 0.0, omega0, 0.0, np.mean(y)], jac=model_jac,
+            maxfev=20000, xtol=1e-12, ftol=1e-12)
     except RuntimeError:
         return FrequencyFit(False, reason="nonlinear fit did not converge")
     a, gamma, omega, _, _ = popt

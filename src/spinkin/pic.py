@@ -6,8 +6,12 @@ rotation applied at the exact angle, the spin-gradient force added as
 half-kicks, and the spin advanced by exact rotation, so gyro-frequency
 and |s_hat| = 1 hold to rounding.  Gather and deposit share the linear
 cloud-in-cell shape function (Birdsall & Langdon), evaluated once per set
-of positions: the ensemble caches it, so a step's charge deposit and the
-next push's gather of every nonzero field row use one evaluation.
+of positions as one (2, N) index array [i0, i1] and one (2, N) weight
+array [w0, w1]: the ensemble caches it, so a step's charge deposit and
+the next push's gather of every nonzero field row use one evaluation.
+The ensemble likewise keeps its spin statistics (mean s_hat and the
+|s_hat| = 1 deviation the push guard measures) per spin array, so a step
+that does not rotate the spins recomputes neither.
 """
 
 import dataclasses
@@ -22,19 +26,39 @@ from .rotation import rodrigues_rotate
 
 
 def _check_unit_spins(s_hat):
+    """max | |s_hat| - 1 | over the particles; raises beyond 1e-12."""
     mag = np.sqrt(np.einsum("pa,pa->p", s_hat, s_hat))
-    if np.max(np.abs(mag - 1.0)) > 1e-12:
+    dev = float(np.max(np.abs(mag - 1.0)))
+    if dev > 1e-12:
         raise ValueError("spin directions must be unit vectors")
+    return dev
+
+
+def _wrap(x, length):
+    """A copy of x mod length, bit for bit np.mod(x, length).
+
+    Only the entries outside [0, length) go through np.mod; for the rest
+    it is the identity.  -0.0 counts as outside, since np.mod maps it to
+    +0.0.
+    """
+    x = np.array(x, dtype=float)
+    outside = np.flatnonzero(np.signbit(x) | (x >= length))
+    if outside.size:
+        x[outside] = np.mod(x[outside], length)
+    return x
 
 
 @dataclass
 class ParticleEnsemble:
     """Arrays of particle coordinates: x (N,), v (N, 3), s_hat (N, 3), w (N,).
 
-    Every assignment to x, in the constructor or later, wraps it into
-    [0, L), makes it read-only and drops the cached shape function of
-    `cic`, so the cache cannot go stale: move particles by assigning a
-    new x array (or building a new ensemble), not by editing x in place.
+    x and s_hat are read-only.  Every assignment to x, in the constructor
+    or later, wraps a copy into [0, L) and drops the cached (2, N) shape
+    function of `cic`; every assignment to s_hat freezes it (a caller's
+    writeable array is copied first) and drops the cached `spin_stats`.
+    So neither cache can go stale: move particles or turn spins by
+    assigning new arrays (or building a new ensemble), not by editing
+    them in place.
     """
 
     grid: SpatialGrid1D
@@ -44,37 +68,53 @@ class ParticleEnsemble:
     w: np.ndarray
     _shape: tuple = dataclasses.field(default=None, init=False, repr=False,
                                       compare=False)
+    _spin_mean: np.ndarray = dataclasses.field(default=None, init=False,
+                                               repr=False, compare=False)
+    _spin_dev: float = dataclasses.field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __setattr__(self, name, value):
         if name == "x":
-            value = np.mod(np.asarray(value, dtype=float), self.grid.length)
+            value = _wrap(value, self.grid.length)
             value.flags.writeable = False
             object.__setattr__(self, "_shape", None)
+        elif name == "s_hat":
+            value = np.asarray(value, dtype=float)
+            if value.flags.writeable:       # a caller's array stays theirs
+                value = value.copy()
+                value.flags.writeable = False
+            object.__setattr__(self, "_spin_mean", None)
+            object.__setattr__(self, "_spin_dev", None)
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
-        self.s_hat = np.asarray(self.s_hat, dtype=float)
         self.w = np.asarray(self.w, dtype=float)
         n = self.x.shape[0]
         if self.v.shape != (n, 3) or self.s_hat.shape != (n, 3) or self.w.shape != (n,):
             raise ValueError("inconsistent particle array shapes")
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
-        _check_unit_spins(self.s_hat)
+        self._spin_dev = _check_unit_spins(self.s_hat)
 
     def _advanced(self, x, v, s_hat):
         """Successor built by the pusher, skipping the constructor.
 
         Shapes and weights are those of self (w is shared); x is wrapped
-        on assignment.  A rotated spin array is re-checked against the
-        |s_hat| = 1 guard.
+        on assignment.  The successor owns a new s_hat array (frozen here,
+        not copied), and the |s_hat| = 1 guard re-checks it; an unrotated
+        s_hat is self's, and so are its spin statistics.
         """
         out = object.__new__(type(self))
         out.grid, out.w = self.grid, self.w
-        out.x, out.v, out.s_hat = x, v, s_hat
-        if s_hat is not self.s_hat:
-            _check_unit_spins(s_hat)
+        out.x, out.v = x, v
+        if s_hat is self.s_hat:
+            out.s_hat = s_hat
+            out._spin_mean, out._spin_dev = self._spin_mean, self._spin_dev
+        else:
+            s_hat.flags.writeable = False
+            out.s_hat = s_hat
+            out._spin_dev = _check_unit_spins(s_hat)
         return out
 
     @property
@@ -82,31 +122,56 @@ class ParticleEnsemble:
         return self.x.shape[0]
 
     def cic(self):
-        """Cloud-in-cell (i0, i1, w0, w1) of the current positions, cached."""
+        """Cloud-in-cell ([i0, i1], [w0, w1]) of the positions, cached."""
         if self._shape is None:
             self._shape = _cic(self.x, self.grid)
         return self._shape
 
+    def spin_stats(self):
+        """(mean s_hat, max | |s_hat| - 1 |), each once per s_hat array.
+
+        The deviation is the one the |s_hat| = 1 guard measured when the
+        array was checked (or, after a reassignment, measures now); the
+        mean is np.mean(s_hat, axis=0).
+        """
+        if self._spin_dev is None:
+            self._spin_dev = _check_unit_spins(self.s_hat)
+        if self._spin_mean is None:
+            self._spin_mean = np.mean(self.s_hat, axis=0)
+        return self._spin_mean, self._spin_dev
+
 
 def _cic(x, grid: SpatialGrid1D):
-    """Cloud-in-cell node indices and weights for positions x."""
+    """Cloud-in-cell node indices [i0, i1] and weights [w0, w1], each (2, N).
+
+    x must be wrapped, as the ensemble keeps it: i0 is then the
+    truncation of x / dx.  A position whose x / dx rounds to n (just
+    below L, or L itself, which np.mod returns for a hair below 0) goes
+    to node 0, as floor and modulo would give.
+    """
+    n = grid.n
     xi = x / grid.dx
-    cell = np.floor(xi)
-    i0 = cell.astype(int) % grid.n
-    frac = xi - cell
-    i1 = (i0 + 1) % grid.n
-    return i0, i1, 1.0 - frac, frac
+    idx = np.empty((2, x.shape[0]), dtype=np.intp)
+    wts = np.empty((2, x.shape[0]))
+    i0, i1 = idx
+    np.copyto(i0, xi, casting="unsafe")
+    np.subtract(xi, i0, out=wts[1])
+    np.subtract(1.0, wts[1], out=wts[0])
+    i0[i0 == n] = 0
+    np.add(i0, 1, out=i1)
+    i1[i1 == n] = 0
+    return idx, wts
 
 
 def gather(field, x, grid: SpatialGrid1D, shape=None):
     """Linear interpolation of a nodal field (last axis = grid) to positions.
 
-    `shape` is `_cic(x, grid)` when the caller already has it
-    (`ParticleEnsemble.cic`).
+    Any x is accepted and taken periodically.  `shape` is the cached
+    `ParticleEnsemble.cic()` when the caller already has it.
     """
-    i0, i1, w0, w1 = _cic(x, grid) if shape is None else shape
-    return (np.take(field, i0, axis=-1) * w0
-            + np.take(field, i1, axis=-1) * w1)
+    idx, wts = _cic(_wrap(x, grid.length), grid) if shape is None else shape
+    return (np.take(field, idx[0], axis=-1) * wts[0]
+            + np.take(field, idx[1], axis=-1) * wts[1])
 
 
 def _spin_force(dB_p, s_hat):
@@ -173,12 +238,12 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
 def _accumulate(ens: ParticleEnsemble, values):
     """sum_i values_i S_j(x_i) per node j, from the cached CIC shape.
 
-    One bincount over the i0 then the i1 contributions adds them per node
-    in the order sequential scatter-adds would.
+    One bincount over the i0 then the i1 contributions (the rows of the
+    (2, N) shape, raveled) adds them per node in the order sequential
+    scatter-adds would.
     """
-    i0, i1, w0, w1 = ens.cic()
-    return np.bincount(np.concatenate([i0, i1]),
-                       np.concatenate([values * w0, values * w1]),
+    idx, wts = ens.cic()
+    return np.bincount(idx.ravel(), (wts * values).ravel(),
                        minlength=ens.grid.n)
 
 

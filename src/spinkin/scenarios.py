@@ -57,13 +57,6 @@ class Scenario:
     snapshot: callable
 
 
-def _spin_stats(s_hat):
-    mean = np.mean(s_hat, axis=0)
-    norm = np.sqrt(np.einsum("pa,pa->p", s_hat, s_hat))
-    dev = float(np.max(np.abs(norm - 1.0)))
-    return mean, dev
-
-
 # -- precession: uniform B0 z, external field only, spins start along x --
 
 def _precession_setup(cfg):
@@ -83,7 +76,7 @@ def _precession_step(state, dt):
 
 def _particle_diagnose(state):
     ens, params = state["ens"], state["params"]
-    mean_s, dev = _spin_stats(ens.s_hat)
+    mean_s, dev = ens.spin_stats()
     kinetic = 0.5 * params.mass * float(np.einsum("p,pa,pa->", ens.w, ens.v, ens.v))
     charge = -params.charge * float(np.sum(ens.w))
     return dict(kinetic_energy=kinetic,

@@ -389,3 +389,107 @@ class TestFusedStep:
         assert status == "completed"
         # setup deposit + one per step; pushes and snapshots reuse them
         assert len(shapes) == cfg.n_steps + 1
+
+
+def floor_cic(x, grid):
+    """Floor-and-modulo CIC (i0, i1, w0, w1): the reference for `_cic`."""
+    xi = x / grid.dx
+    cell = np.floor(xi)
+    i0 = cell.astype(int) % grid.n
+    frac = xi - cell
+    return i0, (i0 + 1) % grid.n, 1.0 - frac, frac
+
+
+# on the second grid the position just below L has x / dx == n in floats
+EDGE_GRIDS = (SpatialGrid1D(16, 5.0), SpatialGrid1D(12, 0.25))
+positions = st.lists(st.floats(-40.0, 40.0), max_size=30)
+
+
+class TestShapeAndWrap:
+    def test_edge_grid_rounds_to_n(self):
+        grid = EDGE_GRIDS[1]
+        assert np.nextafter(grid.length, 0) / grid.dx == grid.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(EDGE_GRIDS), positions)
+    def test_cached_shape_equals_floor_formula(self, grid, raw):
+        L = grid.length
+        x = np.mod(np.array([0.0, np.nextafter(L, 0)] + raw), L)
+        ens = ParticleEnsemble(grid, x, np.zeros((len(x), 3)),
+                               np.tile([0.0, 0.0, 1.0], (len(x), 1)),
+                               np.ones(len(x)))
+        idx, wts = ens.cic()
+        i0, i1, w0, w1 = floor_cic(x, grid)
+        assert idx.shape == wts.shape == (2, len(x))
+        assert np.array_equal(idx, [i0, i1])
+        assert wts.tobytes() == np.array([w0, w1]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(EDGE_GRIDS), positions)
+    def test_gather_takes_any_position_periodically(self, grid, raw):
+        L = grid.length
+        x = np.array([-L, -1e-300, L, 2.5 * L, np.nextafter(L, 0)] + raw)
+        field = np.array([np.sin(grid.x), 1.0 + np.cos(3 * grid.x)])
+        i0, i1, w0, w1 = floor_cic(np.mod(x, L), grid)
+        ref = field[:, i0] * w0 + field[:, i1] * w1
+        assert gather(field, x, grid).tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(EDGE_GRIDS), positions)
+    def test_masked_wrap_is_np_mod(self, grid, raw):
+        L = grid.length
+        x = np.array([-0.0, 0.0, -1e-300, L, np.nextafter(L, 0), -L] + raw)
+        before = x.copy()
+        wrapped = pic._wrap(x, L)
+        assert wrapped.tobytes() == np.mod(x, L).tobytes()
+        assert x.tobytes() == before.tobytes()      # a copy, input untouched
+
+
+class TestSpinStats:
+    def test_cache_matches_recomputation_while_spins_rotate(self):
+        grid = SpatialGrid1D(32, 10.0)
+        fs = external_profiles("uniform_B", dict(B0=0.9), grid)
+        ens = random_ensemble(grid, 300, seed=5)
+        for _ in range(40):
+            ens = push_particles(ens, fs, PARAMS, 0.05)
+            mean, dev = ens.spin_stats()
+            norm = np.sqrt(np.einsum("pa,pa->p", ens.s_hat, ens.s_hat))
+            assert mean.tobytes() == np.mean(ens.s_hat, axis=0).tobytes()
+            assert dev == float(np.max(np.abs(norm - 1.0)))
+
+    def test_unrotated_spins_keep_their_stats(self):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        fs = FieldState(grid)
+        fs.E[0] = 0.2 * np.sin(grid.x)
+        ens = random_ensemble(grid, 100, seed=6)
+        stats = ens.spin_stats()
+        pushed = push_particles(ens, fs, PARAMS, 0.05)
+        assert pushed.s_hat is ens.s_hat
+        assert pushed.spin_stats()[0] is stats[0]
+
+    def test_spins_read_only_and_caller_array_not_frozen(self):
+        grid = SpatialGrid1D(32, 10.0)
+        s = np.array([[0.0, 0.0, 1.0]])
+        ens = ParticleEnsemble(grid, np.array([1.0]), np.zeros((1, 3)), s,
+                               np.ones(1))
+        with pytest.raises(ValueError):
+            ens.s_hat[0, 0] = 1.0       # in place would leave stale stats
+        s[0] = [1.0, 0.0, 0.0]          # the caller's array stays writeable
+        assert np.array_equal(ens.s_hat, [[0.0, 0.0, 1.0]])
+
+    def test_reassigned_spins_refresh_stats(self):
+        grid = SpatialGrid1D(32, 10.0)
+        ens = random_ensemble(grid, 50, seed=7)
+        old_mean, _ = ens.spin_stats()
+        new = pic.rodrigues_rotate(ens.s_hat, [0.0, 1.0, 0.0], 0.7)
+        ens.s_hat = new
+        mean, dev = ens.spin_stats()
+        norm = np.sqrt(np.einsum("pa,pa->p", new, new))
+        assert mean.tobytes() == np.mean(new, axis=0).tobytes()
+        assert not np.array_equal(mean, old_mean)
+        assert dev == float(np.max(np.abs(norm - 1.0)))
+        with pytest.raises(ValueError):
+            ens.s_hat[0, 0] = 1.0
+        ens.s_hat = 2 * new
+        with pytest.raises(ValueError, match="unit vectors"):
+            ens.spin_stats()
