@@ -168,15 +168,16 @@ def cmd_transform(args):
         axes = {"theta": {"n": quad.n_theta}, "phi": {"n": quad.n_phi}}
         write_snapshot(out_base, f.values, axes, extra={"kind": "spinq"})
     else:
-        v = conjugate_momentum_axis(grid, params.hbar) / params.mass
+        # the kernel gets the conjugate axis itself, so it takes its FFT path
+        p = conjugate_momentum_axis(grid, params.hbar)
+        v = p / params.mass
         # the sphere integral of (w_0 + s_hat . w) / 4 pi is w_0 = Re Tr W
         A = np.zeros(grid.n)
         if args.kind == "gi":
             A = extra.get("A_x", A)
         dress = line_integral_dressing(A, grid, params)
         f_xv = params.mass * phase_space_correlation(
-            psi.psi, grid, params.mass * v, params.hbar, IDENTITY2[None],
-            dress)[0]
+            psi.psi, grid, p, params.hbar, IDENTITY2[None], dress)[0]
         axes = {"x": {"n": grid.n, "spacing": grid.dx, "origin": 0.0},
                 "v": {"n": len(v), "spacing": float(v[1] - v[0]),
                       "origin": float(v[0])}}

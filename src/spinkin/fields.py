@@ -170,7 +170,9 @@ def external_profiles(kind, parameters, grid: SpatialGrid1D) -> FieldState:
     fs.metadata["staggered"] = False
     if kind == "uniform_B":
         fs.B[2] = p.pop("B0", 1.0)
-        fs.metadata["kind"] = "uniform_B"
+        # exactly zero, where a spectral derivative of the constant leaves
+        # rounding noise that pushes would read as a spin-gradient force
+        fs.metadata.update(kind="uniform_B", dB_nodes=np.zeros((3, grid.n)))
     elif kind == "gradient_B":
         B0 = p.pop("B0", 1.0)
         B1 = p.pop("B1", 0.1)

@@ -2,7 +2,10 @@
 
 Every Wigner-type transform goes through `phase_space_correlation`, which
 contracts the spin indices of the correlation with the operators its
-caller keeps, so the complex pair array W_ab is never formed.
+caller keeps, so the complex pair array W_ab is never formed.  The
+shifted factors psi(x +- y/2) are strided windows of the doubled grid;
+on the conjugate momentum axis the lag sum is one FFT per operator, and
+any other momentum axis takes a dense product with a cos/sin table.
 
 The Wigner transform maps a normalized wavefunction on a periodic grid to a
 real phase-space field f(x, p); the spin Q-transform maps a 2x2 density
@@ -128,6 +131,21 @@ def conjugate_momentum_axis(grid: SpatialGrid1D, hbar: float) -> np.ndarray:
     return 2.0 * np.pi * hbar / grid.length * np.arange(-grid.n // 2, grid.n // 2)
 
 
+def _lag_windows(u, n, sign):
+    """(n_comp, N, N) view [:, x, j] = u[:, (2x + sign (j - N/2)) mod 2N].
+
+    u is (n_comp, 2N) on the doubled grid; the rows are windows of its
+    period extension that step by 2 along x, read backwards for sign < 0.
+    """
+    ext = np.concatenate([u, u, u], axis=-1)
+    if sign > 0:
+        start = 2 * n - n // 2
+    else:
+        ext, start = ext[:, ::-1], 4 * n - 1 - n // 2
+    rows = np.lib.stride_tricks.sliding_window_view(ext, n, axis=-1)
+    return rows[:, start:start + sign * 2 * n:sign * 2]
+
+
 def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
                             dress=None) -> np.ndarray:
     """Spin contractions Re Tr(op W) of the phase-space correlation W.
@@ -136,10 +154,18 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
                  psi_a(x + y/2) psi_b*(x - y/2)
     for psi of shape (n_comp, N) and Hermitian ops of shape
     (n_ops, n_comp, n_comp); returns the real (n_ops, N, len(p_axis)).
-    Each op enters the correlation before the dense y sum, so it costs
-    one contraction.  y runs over one period, the half-point shifts come
-    from trigonometric interpolation onto the doubled grid, and dress, if
-    given, maps the lag vector y to an (N, N) kernel factor (None means 1).
+    Each op enters the correlation before the y sum, so it costs one
+    product and one y sum.  y = m dx with m = -N/2 .. N/2-1 runs over one
+    period, the half-point shifts come from trigonometric interpolation
+    onto the doubled grid, and dress, if given, maps the lag vector y to
+    an (N, N) kernel factor (None means 1).
+
+    psi(x +- y/2) sits at doubled-grid index 2x +- m, so both factors are
+    strided windows of the doubled grid, not gathered copies.  On the
+    conjugate axis exp(-i p_k y_m / hbar) = exp(-2 pi i k m / N), so with
+    m = j - N/2 and k = l - N/2 the y sum is (-1)^(j + l + N/2) times one
+    FFT over j; the signs are exact flips.  Any other p_axis takes the
+    dense product with a cos/sin table.
     """
     psi = np.asarray(psi, dtype=complex)
     ops = np.asarray(ops, dtype=complex)
@@ -150,26 +176,37 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
     padded[:, -n // 2:] = psi_k[:, -n // 2:]
     psi2 = np.fft.ifft(padded, axis=-1) * 2.0
 
-    m = np.arange(-n // 2, n // 2)
-    idx = np.arange(n)
-    plus = (2 * idx[:, None] + m[None, :]) % (2 * n)
-    minus = (2 * idx[:, None] - m[None, :]) % (2 * n)
-    y = m * grid.dx
+    y = np.arange(-n // 2, n // 2) * grid.dx
     factor = None if dress is None else dress(y)
-    arg = np.outer(y, p_axis) / hbar
-    cos, sin = np.cos(arg), np.sin(arg)
+    scale = grid.dx / (2.0 * np.pi * hbar)
+    use_fft = np.array_equal(p_axis, conjugate_momentum_axis(grid, hbar))
+    psi2_minus = psi2.conj()
+    if use_fft:
+        # (-1)^(j + N/2) of lag index j is (-1)^q of the minus side's
+        # doubled-grid index q = 2x - m; the output carries (-1)^l
+        psi2_minus[:, 1::2] *= -1.0
+        scale = np.where(np.arange(n) % 2 == 0, scale, -scale)
+    else:
+        arg = np.outer(y, p_axis) / hbar
+        cos, sin = np.cos(arg), np.sin(arg)
 
-    left = psi2[:, plus]
+    left = _lag_windows(psi2, n, +1)
     out = np.empty((len(ops), n, len(p_axis)))
+    # one (N, N) correlation buffer and one spectrum buffer serve every op
+    corr = np.empty((n, n), dtype=complex)
+    spectrum = np.empty((n, n), dtype=complex) if use_fft else None
     for k, op in enumerate(ops):
         # sum_b op_ba psi_b*(x - y/2)
-        right = (op.T @ psi2.conj())[:, minus]
-        corr = np.einsum("axy,axy->xy", left, right)
+        right = _lag_windows(op.T @ psi2_minus, n, -1)
+        np.einsum("axy,axy->xy", left, right, out=corr)
         if factor is not None:
             corr *= factor
-        # Re[corr exp(-i arg)]: two real products instead of one complex
-        out[k] = corr.real @ cos + corr.imag @ sin
-    out *= grid.dx / (2.0 * np.pi * hbar)
+        if use_fft:
+            out[k] = np.fft.fft(corr, axis=-1, out=spectrum).real
+        else:
+            # Re[corr exp(-i arg)]: two real products instead of one complex
+            out[k] = corr.real @ cos + corr.imag @ sin
+    out *= scale
     return out
 
 

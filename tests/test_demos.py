@@ -14,7 +14,10 @@ SRC = Path(spinkin.__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script", ["wavepacket_spreading.py",
-                                    "plasma_dispersion.py"])
+                                    "plasma_dispersion.py",
+                                    "gauge_invariance.py",
+                                    "precession.py",
+                                    "stern_gerlach.py"])
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(

@@ -178,6 +178,12 @@ class TestExternalProfiles:
         assert np.max(np.abs(fs.B[2] - 1.5)) == 0.0
         assert np.max(np.abs(fs.b_nodes() - fs.B)) == 0.0
 
+    def test_uniform_b_gradient_is_exactly_zero(self):
+        # a spectral derivative of the constant reads ~1e-15 at n = 100
+        fs = external_profiles("uniform_B", dict(B0=1.3),
+                               SpatialGrid1D(100, 10.0))
+        assert np.array_equal(fs.db_nodes(), np.zeros((3, 100)))
+
     def test_gradient_b(self):
         grid = SpatialGrid1D(32, 10.0)
         fs = external_profiles("gradient_B", dict(B0=1.0, B1=0.2), grid)

@@ -55,6 +55,12 @@ class TestPush:
         assert abs(np.sum(ens.v**2) - ke0) < 1e-12
         assert np.max(np.abs(ens.v[0] - v0)) < 1e-6
 
+    def test_uniform_b_gives_no_spin_force(self):
+        grid = SpatialGrid1D(100, 10.0)
+        fs = external_profiles("uniform_B", dict(B0=1.3), grid)
+        ens = push_particles(single_particle(grid), fs, PARAMS, 0.05)
+        assert np.array_equal(ens.v, np.zeros((1, 3)))
+
     def test_spin_precession_rate_and_magnitude(self):
         grid = SpatialGrid1D(32, 10.0)
         B0 = 0.9

@@ -1,9 +1,20 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinkin.snapshots import read_snapshot, write_snapshot
+
+# the float64 edge cases a snapshot must carry bit for bit
+SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072e-308]
+AXIS = st.fixed_dictionaries({
+    "n": st.integers(0, 6),
+    "spacing": st.floats(allow_nan=False, allow_infinity=False),
+    "origin": st.floats(allow_nan=False, allow_infinity=False)})
 
 
 class TestRoundTrip:
@@ -20,6 +31,25 @@ class TestRoundTrip:
         assert meta["axes"]["v"]["origin"] == -0.5
         assert meta["units"] == "density"
         assert meta["extra"]["time"] == 1.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=hnp.arrays(np.float64,
+                          hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                           max_side=5),
+                          elements=st.one_of(st.sampled_from(SPECIAL),
+                                             st.floats(width=64))),
+           axis=AXIS, names=st.lists(st.text(min_size=1), min_size=3,
+                                     max_size=3, unique=True))
+    def test_round_trip_is_bit_exact(self, arr, axis, names):
+        axes = {name: dict(axis, n=n) for name, n in zip(names, arr.shape)}
+        with tempfile.TemporaryDirectory() as tmp:
+            base = os.path.join(tmp, "state")
+            write_snapshot(base, arr, axes)
+            got, meta = read_snapshot(base)
+        assert got.tobytes() == arr.tobytes()
+        assert got.shape == arr.shape
+        assert meta["axes"] == axes
+        assert list(meta["axes"]) == list(axes)
 
     def test_payload_is_little_endian_f64(self, tmp_path):
         arr = np.array([1.0, -2.5])

@@ -191,7 +191,7 @@ def reference_pairs(psi, grid, p_axis, hbar, factor):
 
 class TestCorrelationKernel:
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48]),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48, 96]),
            mass=st.floats(0.3, 3.0), hbar=st.floats(0.3, 2.0),
            custom_axis=st.booleans())
     def test_wigner_matches_reference(self, seed, n, mass, hbar, custom_axis):
@@ -207,7 +207,7 @@ class TestCorrelationKernel:
         assert np.max(np.abs(f.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48]),
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 48, 96]),
            hbar=st.floats(0.3, 2.0), custom_axis=st.booleans(),
            dressed=st.booleans())
     def test_spin_basis_matches_pair_loop(self, seed, n, hbar, custom_axis,
@@ -229,6 +229,33 @@ class TestCorrelationKernel:
                        *np.einsum("iab,banv->inv", SIGMA, W)])
         assert got.shape == (4, n, len(p))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_conjugate_axis_is_one_fft_per_op(self, monkeypatch):
+        grid = SpatialGrid1D(32, 12.0)
+        psi = random_state(5, 2, grid)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, np.shape(args[0])))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+
+        phase_space_correlation(psi, grid, conjugate_momentum_axis(grid, 0.8),
+                                0.8, SPIN_BASIS)
+        assert [c for c in calls if c[0] != "fft"] == []
+        assert calls.count(("fft", (32, 32))) == 4
+
+        calls.clear()
+        phase_space_correlation(psi, grid, np.linspace(-2.5, 2.5, 25)[:-1],
+                                0.8, SPIN_BASIS)
+        assert calls.count(("cos", (32, 24))) == 1
+        assert calls.count(("sin", (32, 24))) == 1
+        assert ("fft", (32, 32)) not in calls
 
     def test_diagonal_pairs_are_wigner_transforms(self):
         grid = SpatialGrid1D(64, 16.0)
