@@ -53,9 +53,8 @@ def write_snapshot(base, array, axes, units="", extra=None):
         meta["extra"] = dict(extra)
     base = str(base)
     _atomic_write(base + ".f64", array.tobytes())
-    # keys stay in insertion order: the axes are listed in array order
     _atomic_write(base + ".json",
-                  (json.dumps(meta, indent=2) + "\n").encode())
+                  (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_snapshot(base):

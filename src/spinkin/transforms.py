@@ -192,9 +192,8 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
 
     left = _lag_windows(psi2, n, +1)
     out = np.empty((len(ops), n, len(p_axis)))
-    # one (N, N) correlation buffer and one spectrum buffer serve every op
+    # one (N, N) correlation buffer serves every op
     corr = np.empty((n, n), dtype=complex)
-    spectrum = np.empty((n, n), dtype=complex) if use_fft else None
     for k, op in enumerate(ops):
         # sum_b op_ba psi_b*(x - y/2)
         right = _lag_windows(op.T @ psi2_minus, n, -1)
@@ -202,7 +201,7 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
         if factor is not None:
             corr *= factor
         if use_fft:
-            out[k] = np.fft.fft(corr, axis=-1, out=spectrum).real
+            out[k] = np.fft.fft(corr, axis=-1).real
         else:
             # Re[corr exp(-i arg)]: two real products instead of one complex
             out[k] = corr.real @ cos + corr.imag @ sin
