@@ -10,6 +10,7 @@ override is the output directory (SPINKIN_OUT).
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -227,8 +228,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and reused by every `main`."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:

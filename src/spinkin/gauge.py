@@ -93,9 +93,8 @@ def gauge_transform_state(psi: SpinorField, pot: ExternalPotentials,
     psi_new = SpinorField(psi.grid, psi.psi * phase)
     A = pot.A_or_zero.copy()
     A[0] = A[0] + dlam
-    pot_new = ExternalPotentials(pot.grid, phi=pot.phi.copy(), A=A,
-                                 B=pot.B.copy(), E=pot.E.copy(),
-                                 coulomb_gauge=False)
+    pot_new = ExternalPotentials(pot.grid, phi=pot.phi, A=A, B=pot.B,
+                                 E=pot.E, coulomb_gauge=False)
     return psi_new, pot_new
 
 
@@ -122,6 +121,19 @@ def _x_component(A, n):
     return A_x
 
 
+def _unit_phase(theta):
+    """exp(i theta) of a real array: cos and sin written into one complex.
+
+    Writing through the strided .real/.imag views matches np.exp(1j * theta)
+    bit for bit on numpy 2.4; contiguous np.cos output may take a SIMD
+    path that differs in the last bit.
+    """
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams):
     """Kernel factor exp{(i e / hbar) y int_{-1/2}^{1/2} A(x + tau y) dtau}.
 
@@ -135,7 +147,7 @@ def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams):
 
     def dress(y):
         abar = _tau_average(A_x, grid, y)
-        return np.exp(1j * params.charge * abar * y[None, :] / params.hbar)
+        return _unit_phase(params.charge * abar * y[None, :] / params.hbar)
     return dress
 
 
@@ -180,8 +192,8 @@ def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
     A_x = _x_component(A, psi.grid.n)
 
     def dress(y):
-        return np.exp(1j * params.charge * A_x[:, None] * y[None, :]
-                      / params.hbar)
+        return _unit_phase(params.charge * A_x[:, None] * y[None, :]
+                           / params.hbar)
     return _dressed_transform(psi, params, grid_v, quad,
                               dress if np.max(np.abs(A_x)) else None)
 

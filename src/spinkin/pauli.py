@@ -4,10 +4,13 @@ Serves as the wavefunction-level ground truth for the fluid and transform
 layers.  H = (p + e A)^2 / 2m + mu_B B.sigma - e phi with prescribed static
 potentials; Strang splitting kinetic / (potential + Zeeman), the Zeeman
 factor applied as an exact 2x2 rotation, so the norm is conserved to
-rounding per step and the scheme is globally second order in dt.
+rounding per step and the scheme is globally second order in dt.  The
+potentials are immutable and keep the step factors (Zeeman rotation,
+scalar and kinetic phases) for the most recent (params, dt), so a step
+with unchanged inputs is two 2x2 rotations and one FFT pair.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +53,12 @@ class ExternalPotentials:
     Either supply A (3, N) and let B follow from the 1D curl
     (B_y = -dA_z/dx, B_z = dA_y/dx, B_x uniform), or supply B directly for
     external-field tests.  In Coulomb-gauge mode A_x must be uniform.
+
+    phi, A, B and E are read-only: every assignment, in the constructor or
+    later, freezes the array (a caller's writeable array is copied first)
+    and drops the cached step factors of `step_pauli`.  So the cache
+    cannot go stale: change a potential by assigning a new array (or
+    building new potentials), not by editing it in place.
     """
 
     grid: SpatialGrid1D
@@ -58,35 +67,56 @@ class ExternalPotentials:
     B: np.ndarray = None            # type: ignore[assignment]
     E: np.ndarray = None            # type: ignore[assignment]
     coulomb_gauge: bool = True
+    _factors: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
+
+    def __setattr__(self, name, value):
+        if name in ("phi", "A", "B", "E") and value is not None:
+            value = np.asarray(value, dtype=float)
+            if value.flags.writeable or value.base is not None:
+                value = value.copy()        # a caller's array stays theirs
+                value.flags.writeable = False
+        if name != "_factors":
+            object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         n = self.grid.n
         if self.phi is None:
             self.phi = np.zeros(n)
-        self.phi = np.asarray(self.phi, dtype=float)
         if self.A is not None:
-            self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+            self.A = np.atleast_2d(self.A)
             if self.A.shape != (3, n):
                 raise ValueError("A must have shape (3, N)")
             if self.coulomb_gauge and np.ptp(self.A[0]) > 1e-12:
                 raise ValueError("Coulomb gauge requires uniform A_x in 1D")
             if self.B is None:
-                self.B = np.zeros((3, n))
-                self.B[1] = -self.grid.derivative(self.A[2])
-                self.B[2] = self.grid.derivative(self.A[1])
+                self.B = [np.zeros(n), -self.grid.derivative(self.A[2]),
+                          self.grid.derivative(self.A[1])]
         if self.B is None:
             self.B = np.zeros((3, n))
-        self.B = np.asarray(self.B, dtype=float)
         if self.B.shape != (3, n):
             raise ValueError("B must have shape (3, N)")
         if self.E is None:
-            self.E = np.zeros((3, n))
-            self.E[0] = -self.grid.derivative(self.phi)
-        self.E = np.asarray(self.E, dtype=float)
+            self.E = [-self.grid.derivative(self.phi), np.zeros(n), np.zeros(n)]
 
     @property
     def A_or_zero(self) -> np.ndarray:
         return self.A if self.A is not None else np.zeros((3, self.grid.n))
+
+    def step_factors(self, params: PlasmaParams, dt: float):
+        """(half, kin): the Strang factors of `step_pauli` for (params, dt).
+
+        half = (cos_a, i sinc, b.sigma, phase) of the potential half step
+        over dt/2 and kin the kinetic phase on the FFT wavenumbers.  The
+        entry for the most recent (params, dt) is kept; the dt guard and
+        the uniform-A_x check run when an entry is built, so they raise on
+        every call that would build one.
+        """
+        key = (params, dt)
+        if self._factors is None or self._factors[0] != key:
+            self._factors = (key, _build_step_factors(self, params, dt))
+        return self._factors[1]
 
 
 def spin_orientation(theta0, phi0) -> np.ndarray:
@@ -136,45 +166,59 @@ def init_state(family, parameters, grid: SpatialGrid1D) -> SpinorField:
     return SpinorField(grid, psi).normalized()
 
 
-def _potential_half_step(state, pot, params, dt_half):
-    """Exact exponential of the x-diagonal part of H over dt_half."""
-    A = pot.A_or_zero
-    scalar = (-params.charge * pot.phi
-              + params.charge**2 * (A[1] ** 2 + A[2] ** 2) / (2 * params.mass))
-    b = params.mu_B * pot.B  # (3, N)
-    bmag = np.sqrt(np.sum(b * b, axis=0))
-    angle = bmag * dt_half / params.hbar
-    cos_a = np.cos(angle)
-    # sin(angle)/|b| without 0/0
-    sinc = np.where(bmag > 0, np.sin(angle) / np.where(bmag > 0, bmag, 1.0), dt_half / params.hbar)
-    phase = np.exp(-1j * scalar * dt_half / params.hbar)
-
-    psi = state.psi
-    bs = np.einsum("ni,ijk->njk", b.T, SIGMA)  # (N, 2, 2)
-    new = (cos_a[:, None] * psi.T - 1j * sinc[:, None] * np.einsum("njk,kn->nj", bs, psi))
-    return SpinorField(state.grid, (phase[:, None] * new).T)
-
-
-def step_pauli(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams,
-               dt: float) -> SpinorField:
-    """One Strang step of the Pauli propagator (static potentials)."""
+def _build_step_factors(pot, params, dt):
+    """Half-step and kinetic factors of one Strang step (see step_factors)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    grid = state.grid
     hbar, m, e = params.hbar, params.mass, params.charge
     A = pot.A_or_zero
-    k = grid.k
+    spread = np.ptp(A[0])
+    if spread > 1e-12:
+        raise ValueError(
+            "step_pauli needs a uniform A_x: the kinetic phase uses one value "
+            f"of A_x, but this A_x varies by {spread:.3g} over the grid "
+            "(a non-Coulomb gauge, e.g. from gauge_transform_state)")
+    k = pot.grid.k
     kin_phase_max = (hbar * np.abs(k).max() + e * np.abs(A[0]).max()) ** 2 / (2 * m) * dt / hbar
     if kin_phase_max > np.pi:
         raise ValueError(
             f"dt too large: spectral phase per step {kin_phase_max:.3f} exceeds pi "
             "at the maximum wavenumber")
 
-    half = _potential_half_step(state, pot, params, dt / 2)
+    dt_half = dt / 2
+    scalar = (-e * pot.phi + e**2 * (A[1] ** 2 + A[2] ** 2) / (2 * m))
+    b = params.mu_B * pot.B  # (3, N)
+    bmag = np.sqrt(np.sum(b * b, axis=0))
+    angle = bmag * dt_half / hbar
+    cos_a = np.cos(angle)[:, None]
+    # sin(angle)/|b| without 0/0
+    sinc = np.where(bmag > 0, np.sin(angle) / np.where(bmag > 0, bmag, 1.0), dt_half / hbar)
+    phase = np.exp(-1j * scalar * dt_half / hbar)[:, None]
+    bs = np.einsum("ni,ijk->njk", b.T, SIGMA)  # (N, 2, 2)
     kin = np.exp(-1j * (hbar * k + e * A[0, 0]) ** 2 / (2 * m * hbar) * dt)
-    psi_k = np.fft.fft(half.psi, axis=1) * kin[None, :]
-    mid = SpinorField(grid, np.fft.ifft(psi_k, axis=1))
-    return _potential_half_step(mid, pot, params, dt / 2)
+    return (cos_a, 1j * sinc[:, None], bs, phase), kin[None, :]
+
+
+def _potential_half_step(psi, half):
+    """Exact exponential of the x-diagonal part of H over dt/2, on (2, N)."""
+    cos_a, isinc, bs, phase = half
+    new = cos_a * psi.T - isinc * np.einsum("njk,kn->nj", bs, psi)
+    return (phase * new).T
+
+
+def step_pauli(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams,
+               dt: float) -> SpinorField:
+    """One Strang step of the Pauli propagator (static potentials).
+
+    The factors come from `pot.step_factors(params, dt)`, built once per
+    (potentials, params, dt); a step is two 2x2 rotations and one FFT pair.
+    """
+    if state.grid != pot.grid:
+        raise ValueError("state and potentials use different grids")
+    half, kin = pot.step_factors(params, dt)
+    psi_k = np.fft.fft(_potential_half_step(state.psi, half), axis=1) * kin
+    return SpinorField(state.grid,
+                       _potential_half_step(np.fft.ifft(psi_k, axis=1), half))
 
 
 def spinor_moments(state: SpinorField, A_x, params: PlasmaParams):

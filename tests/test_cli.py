@@ -100,24 +100,26 @@ class TestFit:
         assert "error" in capsys.readouterr().err
 
 
+def write_state(tmp_path, n=64, length=12.0):
+    x = np.arange(n) * length / n
+    env = np.exp(-((x - length / 2) ** 2) / 2) * np.exp(1j * 0.7 * x)
+    psi = np.zeros((2, n), dtype=complex)
+    psi[0] = env * 0.8
+    psi[1] = env * 0.6
+    arr = np.stack([psi.real, psi.imag], axis=-1)
+    base = str(tmp_path / "state")
+    write_snapshot(base, arr, {"component": {"n": 2},
+                               "x": {"n": n, "spacing": length / n},
+                               "re_im": {"n": 2}},
+                   extra={"length": length, "hbar": 1.0})
+    return base
+
+
 class TestTransform:
-    def make_state(self, tmp_path, n=64, length=12.0):
-        x = np.arange(n) * length / n
-        env = np.exp(-((x - length / 2) ** 2) / 2) * np.exp(1j * 0.7 * x)
-        psi = np.zeros((2, n), dtype=complex)
-        psi[0] = env * 0.8
-        psi[1] = env * 0.6
-        arr = np.stack([psi.real, psi.imag], axis=-1)
-        base = str(tmp_path / "state")
-        write_snapshot(base, arr, {"component": {"n": 2},
-                                   "x": {"n": n, "spacing": length / n},
-                                   "re_im": {"n": 2}},
-                       extra={"length": length, "hbar": 1.0})
-        return base
 
     @pytest.mark.parametrize("kind", ["wigner", "spinq", "gi"])
     def test_kinds_produce_snapshots(self, tmp_path, capsys, kind):
-        base = self.make_state(tmp_path)
+        base = write_state(tmp_path)
         code = main(["transform", "--input", base, "--kind", kind])
         assert code == 0
         out_base = capsys.readouterr().out.strip()
@@ -139,7 +141,7 @@ class TestTransform:
         from spinkin.pauli import SpinorField
         from spinkin.sphere import SphereQuadrature
 
-        plain = self.make_state(tmp_path)
+        plain = write_state(tmp_path)
         data, meta = read_snapshot(plain)
         extra = meta["extra"]
         grid = SpatialGrid1D(data.shape[1], extra["length"])
@@ -184,3 +186,45 @@ class TestTransform:
         write_snapshot(base, np.zeros((3, 4)), {"a": {"n": 3}, "b": {"n": 4}})
         code = main(["transform", "--input", base, "--kind", "wigner"])
         assert code == 2
+
+
+def test_consecutive_main_calls_reuse_one_parser(tmp_path, capsys, monkeypatch):
+    from spinkin import cli
+
+    built = []
+    build = cli.build_parser
+
+    def counted_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    try:
+        t = np.arange(0, 20, 0.01)
+        wave = str(tmp_path / "wave.csv")
+        DiagnosticsSeries(t, {"y": np.cos(3.7 * t)}).write_csv(wave)
+        flat = str(tmp_path / "flat.csv")
+        DiagnosticsSeries(t, {"y": np.ones_like(t)}).write_csv(flat)
+        state = write_state(tmp_path)
+        calls = [
+            (["check", "stern_gerlach", "--out", str(tmp_path / "c")], 0,
+             "PASS  stern_gerlach"),
+            (["transform", "--input", state, "--kind", "wigner"], 0,
+             state + ".wigner"),
+            (["fit", "--input", flat, "--column", "y"], 3, "inconclusive"),
+            (["check", "warp", "--out", str(tmp_path / "c")], 2, ""),
+            (["transform", "--input", state, "--kind", "spinq",
+              "--out", str(tmp_path / "q")], 0, str(tmp_path / "q")),
+            (["fit", "--input", wave, "--column", "y"], 0, "omega=3.7"),
+        ]
+        for argv, code, out in calls:
+            assert main(argv) == code, argv
+            assert capsys.readouterr().out.startswith(out), argv
+        # options of an earlier call do not carry over
+        with pytest.raises(SystemExit):
+            main(["transform", "--kind", "gi"])
+        assert "--input" in capsys.readouterr().err
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

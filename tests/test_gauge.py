@@ -8,6 +8,8 @@ from numpy.polynomial.legendre import leggauss
 from spinkin.gauge import (
     GaugeTransformSpec,
     TildeFields,
+    _tau_average,
+    _unit_phase,
     gauge_transform_state,
     gi_correction_series,
     gi_wigner_transform,
@@ -200,6 +202,21 @@ class TestDressedTransform:
         assert np.allclose(np.abs(got), 1.0, rtol=0, atol=1e-15)
         err = np.abs(np.angle(got * np.exp(-1j * ref)))
         assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dressing_factor_matches_complex_exp():
+    # cos and sin written into one complex array give exp(i theta) to
+    # rounding, for the small phases of a dressing and for large ones
+    rng = np.random.default_rng(3)
+    grid = SpatialGrid1D(256, 16.0)
+    y = np.arange(-grid.n // 2, grid.n // 2) * grid.dx
+    A = 0.4 * np.sin(2 * np.pi * grid.x / grid.length) + 0.2
+    abar = _tau_average(A, grid, y)
+    got = line_integral_dressing(A, grid, PARAMS)(y)
+    ref = np.exp(1j * PARAMS.charge * abar * y[None, :] / PARAMS.hbar)
+    assert np.max(np.abs(got - ref)) <= 4.5e-16
+    theta = rng.uniform(-30.0, 30.0, (64, 64))
+    assert np.max(np.abs(_unit_phase(theta) - np.exp(1j * theta))) <= 4.5e-16
 
 
 def reference_dressed(psi, A_x, params, v, quad, line_integral, n_tau=16):

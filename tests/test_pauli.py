@@ -3,6 +3,7 @@ import pytest
 
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
+from spinkin.gauge import GaugeTransformSpec, gauge_transform_state
 from spinkin.pauli import (
     ExternalPotentials,
     SpinorField,
@@ -12,6 +13,7 @@ from spinkin.pauli import (
     spinor_observables,
     step_pauli,
 )
+from spinkin.transforms import SIGMA
 
 PARAMS = PlasmaParams(hbar=1.0)
 
@@ -98,8 +100,10 @@ class TestStepPauli:
     def test_cfl_guard(self):
         grid = SpatialGrid1D(256, 10.0)
         st = init_state("gaussian", dict(x0=5.0), grid)
-        with pytest.raises(ValueError):
-            step_pauli(st, ExternalPotentials(grid), PARAMS, 10.0)
+        pot = ExternalPotentials(grid)
+        for _ in range(2):      # no factors are kept for a rejected dt
+            with pytest.raises(ValueError, match="dt too large"):
+                step_pauli(st, pot, PARAMS, 10.0)
 
     def test_norm_and_energy_conservation_long_run(self):
         grid = SpatialGrid1D(128, 20.0)
@@ -132,6 +136,120 @@ class TestStepPauli:
             dts.append(t_end / steps)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
+
+
+def reference_half_step(psi, pot, params, dt_half):
+    """The potential half step as it was before the factors were cached."""
+    A = pot.A_or_zero
+    scalar = (-params.charge * pot.phi
+              + params.charge**2 * (A[1] ** 2 + A[2] ** 2) / (2 * params.mass))
+    b = params.mu_B * pot.B
+    bmag = np.sqrt(np.sum(b * b, axis=0))
+    angle = bmag * dt_half / params.hbar
+    cos_a = np.cos(angle)
+    sinc = np.where(bmag > 0, np.sin(angle) / np.where(bmag > 0, bmag, 1.0),
+                    dt_half / params.hbar)
+    phase = np.exp(-1j * scalar * dt_half / params.hbar)
+    bs = np.einsum("ni,ijk->njk", b.T, SIGMA)
+    new = (cos_a[:, None] * psi.T
+           - 1j * sinc[:, None] * np.einsum("njk,kn->nj", bs, psi))
+    return (phase[:, None] * new).T
+
+
+def reference_step(psi, pot, params, dt):
+    """One Strang step with every factor rebuilt, as before the cache."""
+    hbar, m, e = params.hbar, params.mass, params.charge
+    half = reference_half_step(psi, pot, params, dt / 2)
+    kin = np.exp(-1j * (hbar * pot.grid.k + e * pot.A_or_zero[0, 0]) ** 2
+                 / (2 * m * hbar) * dt)
+    psi_k = np.fft.fft(half, axis=1) * kin[None, :]
+    return reference_half_step(np.fft.ifft(psi_k, axis=1), pot, params, dt / 2)
+
+
+def mixed_potentials(grid):
+    """Nonzero phi, A_y, A_z, uniform A_x, and a B that is zero at nodes."""
+    x = grid.x
+    kx = 2 * np.pi * x / grid.length
+    A = np.array([np.full(grid.n, 0.3), 0.2 * np.sin(kx), 0.1 * np.cos(2 * kx)])
+    bz = np.where(np.abs(x - grid.length / 2) < grid.length / 8, 0.0, 0.6)
+    B = np.array([np.zeros(grid.n), 0.5 * bz, bz + 0.1 * np.sin(kx) * (bz > 0)])
+    return ExternalPotentials(grid, phi=0.2 * np.cos(kx), A=A, B=B)
+
+
+class TestStepFactorCache:
+    def setup_case(self):
+        grid = SpatialGrid1D(128, 20.0)
+        st = init_state("gaussian", dict(x0=10.0, width=1.5, p0=0.4,
+                                         theta0=1.1, phi0=0.5), grid)
+        return grid, st, mixed_potentials(grid)
+
+    def test_steps_byte_identical_to_uncached_reference(self):
+        grid, st, pot = self.setup_case()
+        assert np.any(np.all(pot.B == 0, axis=0))       # the sinc branch
+        params = PlasmaParams(hbar=0.8, mass=1.3)
+        psi, ref = st, st.psi
+        for _ in range(40):
+            psi = step_pauli(psi, pot, params, 0.01)
+            ref = reference_step(ref, pot, params, 0.01)
+        assert psi.psi.tobytes() == ref.tobytes()
+
+    def test_new_dt_or_params_give_fresh_factors(self):
+        _, _, pot = self.setup_case()
+        first = pot.step_factors(PARAMS, 0.01)
+        assert pot.step_factors(PARAMS, 0.01) is first
+        assert pot.step_factors(PlasmaParams(hbar=1.0), 0.01) is first
+        other_dt = pot.step_factors(PARAMS, 0.005)
+        assert other_dt is not first
+        assert not np.array_equal(other_dt[1], first[1])
+        other_params = pot.step_factors(PlasmaParams(mass=2.0), 0.005)
+        assert not np.array_equal(other_params[1], other_dt[1])
+        # one entry: going back to dt = 0.01 builds it again, equal values
+        again = pot.step_factors(PARAMS, 0.01)
+        assert again is not first
+        assert again[1].tobytes() == first[1].tobytes()
+
+    def test_potential_arrays_are_read_only(self):
+        grid, _, pot = self.setup_case()
+        for name in ("phi", "A", "B", "E"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pot, name)[0] += 1.0
+
+    def test_caller_array_is_copied(self):
+        grid = SpatialGrid1D(64, 10.0)
+        B = np.zeros((3, grid.n))
+        pot = ExternalPotentials(grid, B=B)
+        B[2] = 1.0
+        assert not np.any(pot.B)
+        assert B.flags.writeable
+
+    def test_reassigned_B_matches_new_potentials(self):
+        grid, st, pot = self.setup_case()
+        step_pauli(st, pot, PARAMS, 0.01)
+        B = pot.B.copy()
+        B[0] = 0.4 * np.cos(2 * np.pi * grid.x / grid.length)
+        pot.B = B
+        fresh = ExternalPotentials(grid, phi=pot.phi, A=pot.A, B=B)
+        a, b = st, st
+        for _ in range(10):
+            a = step_pauli(a, pot, PARAMS, 0.01)
+            b = step_pauli(b, fresh, PARAMS, 0.01)
+        assert a.psi.tobytes() == b.psi.tobytes()
+
+    def test_non_uniform_A_x_rejected(self):
+        grid, st, pot = self.setup_case()
+        spec = GaugeTransformSpec(grid, "single_mode", dict(amplitude=0.3, mode=2))
+        st_g, pot_g = gauge_transform_state(st, pot, spec, PARAMS)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="uniform A_x"):
+                step_pauli(st_g, pot_g, PARAMS, 0.01)
+        # a uniform A_x outside the Coulomb-gauge flag still steps
+        pot_u = ExternalPotentials(grid, A=pot.A, coulomb_gauge=False)
+        step_pauli(st, pot_u, PARAMS, 0.01)
+
+    def test_grid_mismatch_rejected(self):
+        grid, st, _ = self.setup_case()
+        with pytest.raises(ValueError, match="different grids"):
+            step_pauli(st, ExternalPotentials(SpatialGrid1D(128, 30.0)), PARAMS, 0.01)
 
 
 class TestObservables:
