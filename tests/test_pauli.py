@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from spinkin.gauge import GaugeTransformSpec, gauge_transform_state
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
-from spinkin.gauge import GaugeTransformSpec, gauge_transform_state
 from spinkin.pauli import (
     ExternalPotentials,
     SpinorField,
@@ -139,7 +139,7 @@ class TestStepPauli:
 
 
 def reference_half_step(psi, pot, params, dt_half):
-    """The potential half step as it was before the factors were cached."""
+    """Uncached reference: the potential half step, every factor rebuilt."""
     A = pot.A_or_zero
     scalar = (-params.charge * pot.phi
               + params.charge**2 * (A[1] ** 2 + A[2] ** 2) / (2 * params.mass))
@@ -157,7 +157,7 @@ def reference_half_step(psi, pot, params, dt_half):
 
 
 def reference_step(psi, pot, params, dt):
-    """One Strang step with every factor rebuilt, as before the cache."""
+    """Uncached reference: one Strang step, every factor rebuilt."""
     hbar, m, e = params.hbar, params.mass, params.charge
     half = reference_half_step(psi, pot, params, dt / 2)
     kin = np.exp(-1j * (hbar * pot.grid.k + e * pot.A_or_zero[0, 0]) ** 2
