@@ -4,10 +4,11 @@ Transport follows the semiclassical kinetic equation with optional
 quantum spin-velocity coupling: x and v advections are conservative
 MUSCL finite-volume sweeps (monotonized-central limiter, or unlimited
 Fromm slopes for convergence studies), and the spin sector rotates about
-the local magnetic field: by an exact spectral shift in phi when B is
-along z, otherwise by Legendre-kernel resampling at the rotated nodes
-(the addition-theorem form of spherical-harmonic interpolation, see
-`SphereQuadrature.rotation_interp_matrices`).  Velocity space is 1V
+the local magnetic field by one path for every direction of B:
+Legendre-kernel resampling at the rotated nodes (the addition-theorem
+form of spherical-harmonic interpolation, see
+`SphereQuadrature.rotation_interp_matrices`).  The quantum term's sphere
+gradient is `SphereQuadrature.gradient_along`.  Velocity space is 1V
 (electrostatic) or 2V (magnetized, B along z).
 """
 
@@ -178,17 +179,6 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     angle = (2 * params.mu_B / params.hbar) * Bmag * dt   # (N_x,)
     if np.max(angle) == 0.0:
         return values
-    only_z = np.max(np.abs(B_nodes[0])) == 0 and np.max(np.abs(B_nodes[1])) == 0
-    if only_z:
-        # pattern shift in phi by the local signed angle, exact spectrally
-        signed = angle * np.sign(B_nodes[2])
-        m = np.fft.fftfreq(quad.n_phi, 1.0 / quad.n_phi)
-        fk = np.fft.fft(values, axis=-1)
-        extra = values.ndim - 2
-        phase = np.exp(-1j * np.einsum("x,m->xm", signed, m))
-        phase = phase.reshape(phase.shape[0], *([1] * extra), quad.n_phi)
-        return np.fft.ifft(fk * phase, axis=-1).real
-
     # one matrix per distinct B node, all built in one call; the angle is a
     # function of |B|, and rounding merges rows that differ in the last bits
     _, first, inverse = np.unique(np.round(B_nodes.T, 12), axis=0,
@@ -203,31 +193,16 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     return out.reshape(values.shape)
 
 
-def _quantum_coupling(f: ExtendedDistribution, dB_nodes, params):
-    """(mu_B/m) [d_x B . grad_s] f, the flux whose v-divergence is the
-    quantum correction of the kinetic equation.
-
-    With grad_s = theta_hat (-sin theta) d/dmu + phi_hat (1/sin theta)
-    d/dphi, the contraction with d_x B needs only theta_hat . d_x B and
-    phi_hat . d_x B on (N_x, n_theta, n_phi).
-    """
-    quad = f.quad
-    sin_t = np.sqrt(1.0 - quad.mu**2)[:, None]
-    scale = params.mu_B / params.mass
-    c_mu = scale * -sin_t * np.einsum("ax,tpa->xtp", dB_nodes, quad.theta_hat)
-    c_phi = scale / sin_t * np.einsum("ax,tpa->xtp", dB_nodes, quad.phi_hat)
-    shape = (f.grid.n, *([1] * len(f.v_axes)), quad.n_theta, quad.n_phi)
-    return (c_mu.reshape(shape) * quad.dmu(f.values)
-            + c_phi.reshape(shape) * quad.dphi(f.values))
-
-
-def _v_derivative(u, axis, dv):
-    """Centered conservative derivative along a velocity axis, zero outside."""
-    q = np.moveaxis(u, axis, 0)
-    zeros = np.zeros_like(q[:1])
-    qp = np.concatenate([zeros, q, zeros], axis=0)
-    out = (qp[2:] - qp[:-2]) / (2 * dv)
-    return np.moveaxis(out, 0, axis)
+def _quantum_increment(f: ExtendedDistribution, dB_nodes, params, dt):
+    """dt d_v[(mu_B/m)(d_x B . grad_s) f], the explicit quantum term, with
+    d_v the centered difference and f = 0 beyond the v axis."""
+    lead = (f.grid.n, *([1] * len(f.v_axes)), 3)
+    scale = dt * params.mu_B / (2 * f.dv[0] * params.mass)
+    flux = f.quad.gradient_along(scale * dB_nodes.T.reshape(lead), f.values)
+    out = np.zeros_like(flux)
+    out[:, :-1] = flux[:, 1:]
+    out[:, 1:] -= flux[:, :-1]
+    return out
 
 
 def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
@@ -284,8 +259,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     # the quantum spin-velocity flux is explicit: evaluated once on the
     # step input, so a distribution with no s_hat dependence is untouched
     if quantum_term:
-        q_inc = (dt / 2) * _v_derivative(_quantum_coupling(f, dB, params), 1,
-                                         dvs[0])
+        q_inc = _quantum_increment(f, dB, params, dt / 2)
 
     def v_half(vals):
         out = advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter)
@@ -305,6 +279,5 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
 
 def quantum_term_increment(f: ExtendedDistribution, fs: FieldState,
                            params: PlasmaParams, dt) -> np.ndarray:
-    """dt * (mu_B/m)[d_x(B . grad_s)] . grad_v f, the explicit quantum term."""
-    u = _quantum_coupling(f, fs.db_nodes(), params)
-    return dt * _v_derivative(u, 1, f.dv[0])
+    """The explicit quantum term of `eulerian_step` over dt."""
+    return _quantum_increment(f, fs.db_nodes(), params, dt)

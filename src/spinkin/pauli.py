@@ -166,18 +166,23 @@ def init_state(family, parameters, grid: SpatialGrid1D) -> SpinorField:
     return SpinorField(grid, psi).normalized()
 
 
+def _require_uniform_ax(A, caller):
+    """Reject an A_x that varies: `caller` takes one value, A[0, 0]."""
+    spread = np.ptp(A[0])
+    if spread > 1e-12:
+        raise ValueError(
+            f"{caller} needs a uniform A_x: the kinetic operator uses one "
+            f"value of A_x, but this A_x varies by {spread:.3g} over the grid "
+            "(a non-Coulomb gauge, e.g. from gauge_transform_state)")
+
+
 def _build_step_factors(pot, params, dt):
     """Half-step and kinetic factors of one Strang step (see step_factors)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     hbar, m, e = params.hbar, params.mass, params.charge
     A = pot.A_or_zero
-    spread = np.ptp(A[0])
-    if spread > 1e-12:
-        raise ValueError(
-            "step_pauli needs a uniform A_x: the kinetic phase uses one value "
-            f"of A_x, but this A_x varies by {spread:.3g} over the grid "
-            "(a non-Coulomb gauge, e.g. from gauge_transform_state)")
+    _require_uniform_ax(A, "step_pauli")
     k = pot.grid.k
     kin_phase_max = (hbar * np.abs(k).max() + e * np.abs(A[0]).max()) ** 2 / (2 * m) * dt / hbar
     if kin_phase_max > np.pi:
@@ -252,10 +257,11 @@ def spinor_observables(state: SpinorField, pot: ExternalPotentials,
 
 
 def energy(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams) -> float:
-    """Expectation of H, spectral kinetic part."""
+    """Expectation of H, spectral kinetic part; A_x must be uniform."""
     grid = state.grid
     hbar, m, e = params.hbar, params.mass, params.charge
     A = pot.A_or_zero
+    _require_uniform_ax(A, "energy")
     psi_k = np.fft.fft(state.psi, axis=1)
     kin_op = (hbar * grid.k + e * A[0, 0]) ** 2 / (2 * m)
     kinetic = np.sum(np.abs(psi_k) ** 2 * kin_op[None, :]) / grid.n**2 * grid.length

@@ -39,7 +39,8 @@ def _wrap(x, length):
 
     Only the entries outside [0, length) go through np.mod; for the rest
     it is the identity.  -0.0 counts as outside, since np.mod maps it to
-    +0.0.
+    +0.0.  The result lies in [0, length], not [0, length): np.mod
+    returns length itself for a negative x within rounding of 0 (-1e-17).
     """
     x = np.array(x, dtype=float)
     outside = np.flatnonzero(np.signbit(x) | (x >= length))
@@ -53,9 +54,10 @@ class ParticleEnsemble:
     """Arrays of particle coordinates: x (N,), v (N, 3), s_hat (N, 3), w (N,).
 
     x and s_hat are read-only.  Every assignment to x, in the constructor
-    or later, wraps a copy into [0, L) and drops the cached (2, N) shape
-    function of `cic`; every assignment to s_hat freezes it (a caller's
-    writeable array is copied first) and drops the cached `spin_stats`.
+    or later, wraps a copy into [0, L] (L itself can occur, see `_wrap`)
+    and drops the cached (2, N) shape function of `cic`; every assignment
+    to s_hat freezes it (a caller's writeable array is copied first) and
+    drops the cached `spin_stats`.
     So neither cache can go stale: move particles or turn spins by
     assigning new arrays (or building a new ensemble), not by editing
     them in place.
@@ -144,7 +146,7 @@ class ParticleEnsemble:
 def _cic(x, grid: SpatialGrid1D):
     """Cloud-in-cell node indices [i0, i1] and weights [w0, w1], each (2, N).
 
-    x must be wrapped, as the ensemble keeps it: i0 is then the
+    x must be wrapped into [0, L], as the ensemble keeps it: i0 is then the
     truncation of x / dx.  A position whose x / dx rounds to n (just
     below L, or L itself, which np.mod returns for a hair below 0) goes
     to node 0, as floor and modulo would give.

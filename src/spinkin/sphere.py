@@ -74,69 +74,81 @@ class SphereQuadrature:
         s[..., 2] = self.mu[:, None] * np.ones(self.n_phi)[None, :]
         return s
 
-    @cached_property
-    def _dmu(self) -> np.ndarray:
-        return barycentric_diff_matrix(self.mu)
-
     def integrate(self, f):
         """Solid-angle integral of f sampled on the (n_theta, n_phi) grid."""
         f = np.asarray(f)
         return np.einsum("tp,...tp->...", self.weights, f)
 
+    def _phi_multiplier(self, symbol):
+        """Real matrix P with f @ P = ifft(symbol * fft(f)) along phi."""
+        eye_k = np.fft.fft(np.eye(self.n_phi), axis=-1)
+        return np.fft.ifft(eye_k * symbol, axis=-1).real
+
     @cached_property
     def _dphi(self) -> np.ndarray:
-        """Real matrix D with f @ D the spectral d/dphi of real f.
-
-        Built by differentiating the unit vectors in Fourier space with the
-        Nyquist mode (index n_phi // 2, present only for even n_phi) dropped.
-        """
+        """Real matrix D with f @ D the spectral d/dphi of real f; the
+        Nyquist mode (index n_phi // 2, only for even n_phi) is dropped."""
         m = 1j * np.fft.fftfreq(self.n_phi, d=1.0 / self.n_phi)
         if self.n_phi % 2 == 0:
             m[self.n_phi // 2] = 0.0
-        eye_k = np.fft.fft(np.eye(self.n_phi), axis=-1)
-        return np.fft.ifft(eye_k * m, axis=-1).real
+        return self._phi_multiplier(m)
+
+    @cached_property
+    def _dmu_parts(self):
+        """(D, D_odd - D, P_odd) of `dmu`."""
+        d = barycentric_diff_matrix(self.mu)
+        sin_t = np.sqrt(1.0 - self.mu**2)
+        d_odd = sin_t[:, None] * d / sin_t[None, :]
+        d_odd[np.diag_indices_from(d_odd)] -= self.mu / sin_t**2
+        m = np.fft.fftfreq(self.n_phi, d=1.0 / self.n_phi)
+        return d, d_odd - d, self._phi_multiplier(m % 2)
 
     def dmu(self, f):
-        """d/dmu along the theta axis (axis -2)."""
-        return np.matmul(self._dmu, f)
+        """d/dmu along the theta axis (axis -2), split by azimuthal parity.
+
+        An even-m mode is a polynomial in mu, differentiated by collocation
+        D on the Gauss nodes; an odd-m mode is S h, S = diag(sin theta) and
+        h a polynomial, differentiated by D_odd = S D S^-1 - diag(mu/(1-mu^2)).
+        With P_odd the odd-m projector along phi (any n_phi),
+        d/dmu f = D f + (D_odd - D)(f P_odd).  Exact to rounding for every
+        Y_lm with l <= n_theta - 1 and |m| < n_phi / 2.
+        """
+        d, jump, p_odd = self._dmu_parts
+        odd = np.matmul(f, p_odd)
+        out = np.matmul(jump, odd)
+        out += np.matmul(d, f, out=odd)
+        return out
 
     def dphi(self, f):
         """Spectral d/dphi along the last axis (a real operator)."""
         return np.matmul(f, self._dphi)
 
     @cached_property
-    def theta_hat(self) -> np.ndarray:
-        """(n_theta, n_phi, 3) unit vectors along increasing theta."""
-        cos_t = self.mu[:, None]
-        sin_t = np.sqrt(1.0 - self.mu**2)[:, None]
-        cos_p = np.cos(self.phi)[None, :]
-        sin_p = np.sin(self.phi)[None, :]
-        return np.stack([cos_t * cos_p, cos_t * sin_p,
-                         -sin_t * np.ones_like(cos_p)], axis=-1)
+    def _grad_mu_phi(self):
+        """grad_s mu = z - mu s_hat and grad_s phi = z x s_hat / sin^2 theta."""
+        z = np.array([0.0, 0.0, 1.0])
+        return (z - self.mu[:, None, None] * self.s_hat,
+                np.cross(z, self.s_hat) / (1.0 - self.mu**2)[:, None, None])
 
-    @cached_property
-    def phi_hat(self) -> np.ndarray:
-        """(n_theta, n_phi, 3) unit vectors along increasing phi."""
-        ones = np.ones((self.n_theta, 1))
-        cos_p = np.cos(self.phi)[None, :]
-        sin_p = np.sin(self.phi)[None, :]
-        return np.stack([-sin_p * ones, cos_p * ones,
-                         np.zeros((self.n_theta, self.n_phi))], axis=-1)
+    def gradient_along(self, G, f):
+        """G . grad_s f, for G (..., 3) broadcasting against f's leading axes.
+
+        grad_s f = grad_s mu df/dmu + grad_s phi df/dphi, exact to rounding
+        on band-limited f (see `dmu`); the terms accumulate in place.
+        """
+        G = np.asarray(G, dtype=float)[..., None, None, :]
+        grad_mu, grad_phi = self._grad_mu_phi
+        out = self.dmu(f)
+        out *= np.sum(G * grad_mu, axis=-1)
+        term = self.dphi(f)
+        term *= np.sum(G * grad_phi, axis=-1)
+        out += term
+        return out
 
     def tangential_gradient(self, f):
-        """Cartesian components of the tangential sphere gradient.
-
-        grad_s f = theta_hat df/dtheta + phi_hat (1/sin theta) df/dphi,
-        returned as an array of shape f.shape + (3,).  Evaluated via
-        d/dtheta = -sin(theta) d/dmu, which keeps everything finite at the
-        Gauss-Legendre nodes (none of which sit on the poles).
-        """
-        f = np.asarray(f)
-        sin_t = np.sqrt(1.0 - self.mu**2)[:, None]
-        df_dtheta = -sin_t * self.dmu(f)
-        df_dphi_over_sin = self.dphi(f) / sin_t
-        return (df_dtheta[..., None] * self.theta_hat
-                + df_dphi_over_sin[..., None] * self.phi_hat)
+        """The Cartesian components of grad_s f, shape f.shape + (3,)."""
+        return np.stack([self.gradient_along(e, f) for e in np.eye(3)],
+                        axis=-1)
 
     def harmonic_matrix(self, lmax=None):
         """(n_nodes, n_coeff) matrix of Y_lm values at the grid nodes."""

@@ -166,6 +166,11 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
     m = j - N/2 and k = l - N/2 the y sum is (-1)^(j + l + N/2) times one
     FFT over j; the signs are exact flips.  Any other p_axis takes the
     dense product with a cos/sin table.
+
+    The lag y = -N/2 dx has no +N/2 partner, so W is Hermitian
+    (W_ba = W_ab*) only up to that column: about 7e-7 relative for a
+    width-1.2 packet with L = 16, N = 128.  Only Re Tr(op W) is returned,
+    and callers read nothing else.
     """
     psi = np.asarray(psi, dtype=complex)
     ops = np.asarray(ops, dtype=complex)

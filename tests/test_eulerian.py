@@ -4,7 +4,6 @@ import pytest
 from spinkin import sphere
 from spinkin.eulerian import (
     ExtendedDistribution,
-    _quantum_coupling,
     _rotate_sphere,
     advect_axis,
     eulerian_step,
@@ -179,6 +178,27 @@ class TestQuantumTerm:
         assert slope > 1.5                     # remainder is O(dt^2)
 
 
+    @pytest.mark.parametrize("B_y", [0.0, 0.1])
+    def test_increment_matches_closed_form(self, B_y):
+        # f = g(x, v)(1 + s_hat . F)/4 pi has grad_s f = g (F - s_hat(s_hat .
+        # F))/4 pi, so the increment is dt D_v g times G . that, with D_v the
+        # solver's centered difference and G = (mu_B/m) d_x B
+        grid, v, fs, f = self.setup_case()
+        fs.B[1] = B_y * np.cos(grid.x)
+        F = np.array([0.4, 0.2, 0.3])
+        dt = 0.02
+        s = QUAD.s_hat
+        g = f.values[..., 0, 0] / ((1 + s[0, 0] @ F) / (4 * np.pi))
+        padded = np.pad(g, [(0, 0), (1, 1)])
+        dg = (padded[:, 2:] - padded[:, :-2]) / (2 * (v[1] - v[0]))
+        grad = (F - s * (s @ F)[..., None]) / (4 * np.pi)
+        G = (PARAMS.mu_B / PARAMS.mass) * fs.db_nodes()
+        flux = np.einsum("ax,tpa->xtp", G, grad)
+        expected = dt * dg[..., None, None] * flux[:, None]
+        got = quantum_term_increment(f, fs, PARAMS, dt)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 class TestForcesAndCfl:
     def test_uniform_electric_force_shifts_mean_velocity(self):
         grid = SpatialGrid1D(16, 10.0)
@@ -322,19 +342,6 @@ class TestKernelsMatchReference:
             advect_axis(self.V1, 1, speed, 0.01, 0.1)
         with pytest.raises(ValueError, match="size 1 on axis 0"):
             advect_axis(self.V1, 0, np.ones(self.V1.shape), 0.01, 0.1)
-
-    def test_quantum_coupling_matches_tangential_gradient(self):
-        grid = SpatialGrid1D(16, 2 * np.pi)
-        v = uniform_velocity_axis(12, 3.0)
-        f = gaussian_1v(grid, v, spin_vec=[0.4, -0.2, 0.3])
-        f.values[:] += 0.01 * self.rng.random(f.values.shape)
-        dB = np.array([0.1 * np.cos(grid.x), -0.2 * np.sin(grid.x),
-                       0.3 * np.cos(2 * grid.x)])
-        grad = QUAD.tangential_gradient(f.values)
-        ref = (PARAMS.mu_B / PARAMS.mass) * np.sum(
-            grad * dB.T.reshape(grid.n, 1, 1, 1, 3), axis=-1)
-        got = _quantum_coupling(f, dB, PARAMS)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_nonuniform_step_builds_rotations_once_without_harmonics(
             self, monkeypatch):

@@ -246,6 +246,16 @@ class TestStepFactorCache:
         pot_u = ExternalPotentials(grid, A=pot.A, coulomb_gauge=False)
         step_pauli(st, pot_u, PARAMS, 0.01)
 
+    def test_energy_rejects_non_uniform_A_x(self):
+        # the kinetic operator takes one value of A_x, so a gauge-shifted
+        # pair would read a different energy
+        grid, st, pot = self.setup_case()
+        spec = GaugeTransformSpec(grid, "single_mode", dict(amplitude=0.4, mode=3))
+        st_g, pot_g = gauge_transform_state(st, pot, spec, PARAMS)
+        with pytest.raises(ValueError, match="energy needs a uniform A_x"):
+            energy(st_g, pot_g, PARAMS)
+        energy(st, pot, PARAMS)
+
     def test_grid_mismatch_rejected(self):
         grid, st, _ = self.setup_case()
         with pytest.raises(ValueError, match="different grids"):

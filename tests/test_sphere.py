@@ -53,11 +53,56 @@ def test_tangential_gradient_of_sz(quad):
     sin_t = np.sqrt(1 - quad.mu**2)[:, None]
     cos_p = np.cos(quad.phi)[None, :]
     sin_p = np.sin(quad.phi)[None, :]
-    expected = np.stack([-sin_t * sin_t * 0 - sin_t * quad.mu[:, None] * cos_p * 0, ], axis=-1)
     # direct: grad_s (s_z) = -sin t * theta_hat
     theta_hat = np.stack([quad.mu[:, None] * cos_p, quad.mu[:, None] * sin_p,
                           -sin_t * np.ones_like(cos_p)], axis=-1)
     assert np.max(np.abs(grad - (-sin_t[..., None] * theta_hat))) < 1e-10
+
+
+# real harmonics as polynomials p(s) and their Cartesian gradients; on the
+# sphere grad_s p = grad p - s_hat (s_hat . grad p)
+HARMONICS = {
+    "l1_m1": (lambda s: s[..., 0],
+              lambda s: np.stack([np.ones_like(s[..., 0]),
+                                  np.zeros_like(s[..., 0]),
+                                  np.zeros_like(s[..., 0])], axis=-1)),
+    "l1_m-1": (lambda s: s[..., 1],
+               lambda s: np.stack([np.zeros_like(s[..., 0]),
+                                   np.ones_like(s[..., 0]),
+                                   np.zeros_like(s[..., 0])], axis=-1)),
+    "l2_m1": (lambda s: s[..., 0] * s[..., 2],
+              lambda s: np.stack([s[..., 2], np.zeros_like(s[..., 0]),
+                                  s[..., 0]], axis=-1)),
+}
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (16, 32), (8, 15)])
+@pytest.mark.parametrize("name", sorted(HARMONICS))
+def test_tangential_gradient_of_odd_m_harmonics(name, shape):
+    # odd azimuthal modes carry a sin(theta) factor that is not a
+    # polynomial in mu; d/dmu must still be exact on them
+    q = SphereQuadrature(*shape)
+    value, cartesian = HARMONICS[name]
+    s = q.s_hat
+    g = cartesian(s)
+    exact = g - s * np.sum(s * g, axis=-1)[..., None]
+    assert np.max(np.abs(q.tangential_gradient(value(s)) - exact)) <= 1e-12
+
+
+def test_gradient_integral_identity():
+    # int grad_s f dOmega = 2 int s_hat f dOmega for smooth f; random data
+    # of degree <= 7 are band-limited on the 8 x 16 grid
+    rng = np.random.default_rng(11)
+    q = SphereQuadrature(8, 16)
+    s = q.s_hat
+    f = np.zeros(s.shape[:-1])
+    for a in range(8):
+        for b in range(8 - a):
+            for c in range(8 - a - b):
+                f += rng.normal() * s[..., 0]**a * s[..., 1]**b * s[..., 2]**c
+    lhs = np.einsum("tp,tpa->a", q.weights, q.tangential_gradient(f))
+    rhs = 2 * np.einsum("tp,tpa->a", q.weights, s * f[..., None])
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_rotation_interp_rigid_rotation(quad):
