@@ -421,7 +421,23 @@ class TestCorrectedEquationResidual:
         assert abs(float(last[0]) - 0.4) < 1e-12
         assert abs(float(last[2]) - 4.0) < 0.3
 
+    def test_fourth_order_coefficients_pinned(self):
+        # hbar4_norm carries the 1/1920 and 1/480 coefficients of the
+        # next-order brackets; quantum_norm the hbar^2 ones
+        rep = gi_kinetic_residual(F_TEST, (sp.cos(X), 0, 0),
+                                  (0.3, sp.sin(X), X**2), PARAMS,
+                                  [0.1, 0.2, 0.4])
+        np.testing.assert_allclose(
+            rep.hbar4_norm,
+            [4.596081789705279e-06, 7.341123408519969e-05,
+             1.1705453597605799e-03], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            rep.quantum_norm,
+            [7.568062448064441e-03, 3.019140858713282e-02,
+             1.2011890470753218e-01], rtol=1e-12, atol=0)
+
     def test_unsupported_field_family_rejected(self):
         with pytest.raises(ValueError):
             gi_kinetic_residual(F_TEST, (0, 0, 0), (0, sp.exp(X), 0),
                                 PARAMS, [0.1])
+
