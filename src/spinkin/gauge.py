@@ -198,13 +198,6 @@ def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
                               dress if np.max(np.abs(A_x)) else None)
 
 
-# Sign of the second-order series term connecting the canonical and the
-# dressed distributions.  Expanding the dressing exponential in the
-# velocity-derivative argument gives a positive coefficient; the transform
-# itself is the adjudicating oracle (see the scaling tests).
-SERIES_SIGN = +1.0
-
-
 def _x_derivative(f: PhaseSpaceField, u, order):
     """Spectral x derivative of u, sampled on the x axis of f."""
     return SpatialGrid1D(len(f.x), len(f.x) * f.dx).derivative(u, order)
@@ -220,15 +213,17 @@ def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams
                          ) -> PhaseSpaceField:
     """Second-order differential map from the canonical to the dressed form.
 
-    f_GI = f + sign (e hbar^2 / 24 m^3) (d2A/dx2) d3f/dv3, the left x
+    f_GI = f + (e hbar^2 / 24 m^3) (d2A/dx2) d3f/dv3, the left x
     derivatives landing on the potential and the right v derivatives on
-    the distribution.  The series is truncated at hbar^2.
+    the distribution.  The series is truncated at hbar^2.  Expanding the
+    dressing exponential gives the positive sign; the dressed transform
+    itself is the oracle (see the scaling tests).
     """
     A_x = _x_component(A, len(f.x))
     e, m, hbar = params.charge, f.mass, params.hbar
     d2A = _x_derivative(f, A_x, 2)
     d3f = _v_derivative(f, 3)
-    corr = SERIES_SIGN * (e * hbar**2 / (24 * m**3)) * d2A[:, None] * d3f
+    corr = (e * hbar**2 / (24 * m**3)) * d2A[:, None] * d3f
     return PhaseSpaceField(f.x, f.p, f.values + corr, mass=f.mass)
 
 
@@ -252,17 +247,19 @@ class TildeFields:
         if self.E.shape[0] != 3 or self.B.shape[0] != 3:
             raise ValueError("E and B must have three components")
 
+    def _curvature(self, f: PhaseSpaceField, field, denom) -> np.ndarray:
+        """(hbar^2 / denom m^2) (d2 field) (d2/dv2) applied to f."""
+        h, m = self.params.hbar, f.mass
+        return (h**2 / (denom * m**2)
+                * _x_derivative(f, field, 2)[:, :, None] * _v_derivative(f, 2))
+
     def e_corr(self, f: PhaseSpaceField) -> np.ndarray:
         """-(hbar^2/24 m^2) (d2E) (d2/dv2) applied to f, shape (3, Nx, Nv)."""
-        h, m = self.params.hbar, f.mass
-        return (-(h**2 / (24 * m**2))
-                * _x_derivative(f, self.E, 2)[:, :, None] * _v_derivative(f, 2))
+        return self._curvature(f, self.E, -24)
 
     def b_corr(self, f: PhaseSpaceField) -> np.ndarray:
         """-(hbar^2/24 m^2) (d2B) (d2/dv2) applied to f."""
-        h, m = self.params.hbar, f.mass
-        return (-(h**2 / (24 * m**2))
-                * _x_derivative(f, self.B, 2)[:, :, None] * _v_derivative(f, 2))
+        return self._curvature(f, self.B, -24)
 
     def delta_v(self, f: PhaseSpaceField) -> np.ndarray:
         """-(e hbar^2/12 m^3) (dB) x grad_v (d/dv) applied to f.
@@ -279,6 +276,4 @@ class TildeFields:
 
     def delta_B(self, f: PhaseSpaceField) -> np.ndarray:
         """+(hbar^2/12 m^2) (d2B) (d2/dv2) applied to f."""
-        h, m = self.params.hbar, f.mass
-        return ((h**2 / (12 * m**2))
-                * _x_derivative(f, self.B, 2)[:, :, None] * _v_derivative(f, 2))
+        return self._curvature(f, self.B, 12)

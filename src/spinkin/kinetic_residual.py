@@ -13,9 +13,11 @@ so their symbolic norm measures the neglected quantum correction for a
 closed-form distribution.  Potentials are restricted to polynomials or
 single-mode trigonometric profiles in x so all derivatives are exact.
 
-The module also holds the symbolic residual check of the kinetic equation
-written in the hbar^2-corrected fields of the gauge-invariant transform
-(gi_kinetic_residual), which uses the same symbols and helpers.
+The module also holds the residual of the kinetic equation in the
+hbar^2-corrected fields of the gauge-invariant transform
+(gi_kinetic_residual).  One bracket builder, sum_k c_k (d^k field/dx^k)
+(d^k g/dv_x^k) to hbar^2 or hbar^4, gives every corrected field; a split
+form transcribed term by term is the independent reference.
 """
 
 from dataclasses import dataclass
@@ -94,6 +96,13 @@ def _max_abs(expr, subs, rng):
     return float(np.max(np.abs(vals)))
 
 
+def _norms(exprs, hbar_list):
+    """_max_abs of each expression (rows) at each hbar, fresh rng each."""
+    rows = [[_max_abs(ex, {HBAR: h}, np.random.default_rng(7)) for ex in exprs]
+            for h in hbar_list]
+    return np.array(rows, dtype=float).reshape(-1, len(exprs)).T
+
+
 @dataclass
 class KineticResidualReport:
     """Per-hbar norms of the neglected quantum correction terms."""
@@ -160,13 +169,7 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
     gap = sp.simplify((mu_B / m) * (combined - split))
 
     hbar_list = np.asarray(hbar_list, dtype=float)
-    rhs_norms, gaps = [], []
-    for h in hbar_list:
-        rng = np.random.default_rng(7)
-        rhs_norms.append(_max_abs(rhs, {HBAR: h}, rng))
-        rng = np.random.default_rng(7)
-        gaps.append(_max_abs(gap, {HBAR: h}, rng))
-    return KineticResidualReport(hbar_list, np.array(rhs_norms), np.array(gaps))
+    return KineticResidualReport(hbar_list, *_norms((rhs, gap), hbar_list))
 
 
 # ---------------------------------------------------------------------------
@@ -181,48 +184,9 @@ def _dvx(g, n):
     return sp.diff(g, VX, n)
 
 
-def _op_dot_gradv(op, f):
-    """Sum_c op(d f / d v_c)[c], op returning a 3-vector of expressions."""
-    return sum(op(sp.diff(f, vc))[c] for c, vc in enumerate(_V_SYMS))
-
-
-def _v_cross_op_dot_gradv(op, f):
-    """(v x op)[applied inside] . grad_v f."""
-    total = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        vec = op(g)
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * _V_SYMS[b] * vec[c]
-    return total
-
-
-def _op_cross_vec_dot_gradv(op, vec_field, f):
-    """(op x vec_field)[applied inside] . grad_v f."""
-    total = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        ov = op(g)
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * ov[b] * vec_field[c]
-    return total
-
-
-def _s_cross_op_dot_sgrad(op, f):
-    """[s_hat x op][applied inside] . sphere-gradient of f."""
-    sg = _sphere_gradient(f)
-    total = 0
-    for a in range(3):
-        ov = op(sg[a])
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    total += _EPS[a][b][c] * S_HAT[b] * ov[c]
-    return total
+def _trace(op, grads):
+    """Sum_a op(grads[a])[a], op returning a 3-vector of expressions."""
+    return sum(op(g)[a] for a, g in enumerate(grads))
 
 
 @dataclass
@@ -266,52 +230,36 @@ def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
     norm of the order-4 remainder whose scaling verifies the truncation.
     """
     f = sp.sympify(f_analytic)
-    E = sp.Matrix([_check_potential_family("E", c) for c in E])
-    B = sp.Matrix([_check_potential_family("B", c) for c in B])
+    E = _as_vector("E", E)
+    B = _as_vector("B", B)
     e, m = params.charge, params.mass
     mu_B = e * HBAR / (2 * m)
     v = sp.Matrix([VX, VY, VZ])
+    # bracket coefficients by v-derivative order: the field curvature term
+    # of E_tilde and B_tilde, the extra Delta B term, and Delta v_tilde
+    field_coefs = {2: -(HBAR**2 / (24 * m**2)), 4: HBAR**4 / (1920 * m**4)}
+    dB_coefs = {2: HBAR**2 / (12 * m**2), 4: -(HBAR**4 / (480 * m**4))}
+    dv_coefs = {2: -(e * HBAR**2 / (12 * m**3)),
+                4: e * HBAR**4 / (480 * m**5)}
 
-    def e_op(order):
-        def op(g):
-            out = -(HBAR**2 / (24 * m**2)) * sp.diff(E, X, 2) * _dvx(g, 2)
-            if order >= 4:
-                out += (HBAR**4 / (1920 * m**4)) * sp.diff(E, X, 4) * _dvx(g, 4)
-            return out
-        return op
-
-    def b_op(order, extra_dx=0):
-        def op(g):
-            out = (-(HBAR**2 / (24 * m**2))
-                   * sp.diff(B, X, 2 + extra_dx) * _dvx(g, 2))
-            if order >= 4:
-                out += (HBAR**4 / (1920 * m**4)) * sp.diff(
-                    B, X, 4 + extra_dx) * _dvx(g, 4)
-            return out
-        return op
-
-    def dB_op(order):
-        def op(g):
-            out = (HBAR**2 / (12 * m**2)) * sp.diff(B, X, 2) * _dvx(g, 2)
-            if order >= 4:
-                out -= (HBAR**4 / (480 * m**4)) * sp.diff(B, X, 4) * _dvx(g, 4)
-            return out
-        return op
+    def bracket(field, coefs, order, extra_dx=0):
+        """g -> sum_{k <= order} c_k d_x^(k+extra_dx) field * d_vx^k g."""
+        return lambda g: sum((c * sp.diff(field, X, k + extra_dx) * _dvx(g, k)
+                              for k, c in coefs.items() if k <= order),
+                             sp.zeros(3, 1))
 
     def dv_op(order):
-        def op(g):
-            out = -(e * HBAR**2 / (12 * m**3)) * sp.diff(B, X, 1).cross(
-                _grad_v(_dvx(g, 1)))
-            if order >= 4:
-                out += (e * HBAR**4 / (480 * m**5)) * sp.diff(B, X, 3).cross(
-                    _grad_v(_dvx(g, 3)))
-            return out
-        return op
+        """g -> sum_{k <= order} c_k d_x^(k-1) B x grad_v d_vx^(k-1) g."""
+        return lambda g: sum((c * sp.diff(B, X, k - 1).cross(
+                              _grad_v(_dvx(g, k - 1)))
+                              for k, c in dv_coefs.items() if k <= order),
+                             sp.zeros(3, 1))
 
     dB = sp.diff(B, X)
     gvx = _dvx(f, 1)
+    grad_f = _grad_v(f)
     l_semi = (VX * sp.diff(f, X)
-              - (e / m) * (E + v.cross(B)).dot(_grad_v(f))
+              - (e / m) * (E + v.cross(B)).dot(grad_f)
               - (mu_B / m) * (S_HAT.dot(dB) * gvx
                               + dB.dot(_sphere_gradient(gvx)))
               - (2 * mu_B / HBAR) * S_HAT.cross(B).dot(_sphere_gradient(f)))
@@ -319,21 +267,17 @@ def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
     def corrections(order):
         """All terms the corrected fields add beyond the semiclassical
         operator, with the sign they carry on the left-hand side."""
-        bo, eo = b_op(order), e_op(order)
-        terms = dv_op(order)(sp.diff(f, X))[0]
-        terms += -(e / m) * (_op_dot_gradv(eo, f)
-                             + _v_cross_op_dot_gradv(bo, f)
-                             + _op_cross_vec_dot_gradv(dv_op(order), B, f))
-        bo_x = b_op(order, extra_dx=1)
-        bvec = bo_x(_dvx(f, 1))
-        terms += -(mu_B / m) * (S_HAT.dot(bvec)
-                                + sum(bo_x(_sphere_gradient(_dvx(f, 1))[c])[c]
-                                      for c in range(3)))
-
-        def bo_plus_dB(g):
-            return bo(g) + dB_op(order)(g)
-
-        terms += -(2 * mu_B / HBAR) * _s_cross_op_dot_sgrad(bo_plus_dB, f)
+        bo, dv = bracket(B, field_coefs, order), dv_op(order)
+        bo_x = bracket(B, field_coefs, order, extra_dx=1)
+        dBo = bracket(B, dB_coefs, order)
+        terms = dv(sp.diff(f, X))[0]
+        terms += -(e / m) * (_trace(bracket(E, field_coefs, order), grad_f)
+                             + _trace(lambda g: v.cross(bo(g)), grad_f)
+                             + _trace(lambda g: dv(g).cross(B), grad_f))
+        terms += -(mu_B / m) * (S_HAT.dot(bo_x(gvx))
+                                + _trace(bo_x, _sphere_gradient(gvx)))
+        terms += -(2 * mu_B / HBAR) * _trace(
+            lambda g: S_HAT.cross(bo(g) + dBo(g)), _sphere_gradient(f))
         return terms
 
     l82_2 = l_semi + corrections(2)
@@ -374,10 +318,5 @@ def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
     order4 = l82_4 - l82_2
 
     hbar_list = np.asarray(hbar_list, dtype=float)
-    qn, rg, h4 = [], [], []
-    for h in hbar_list:
-        qn.append(_max_abs(quantum, {HBAR: h}, np.random.default_rng(7)))
-        rg.append(_max_abs(regroup, {HBAR: h}, np.random.default_rng(7)))
-        h4.append(_max_abs(order4, {HBAR: h}, np.random.default_rng(7)))
-    return GIResidualReport(hbar_list, np.array(qn), np.array(rg),
-                            np.array(h4))
+    return GIResidualReport(hbar_list,
+                            *_norms((quantum, regroup, order4), hbar_list))

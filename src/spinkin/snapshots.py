@@ -32,9 +32,9 @@ def _atomic_write(path, payload: bytes):
 def write_snapshot(base, array, axes, units="", extra=None):
     """Write `base`.f64 and `base`.json atomically.
 
-    axes maps axis names (in array order) to a description, e.g.
-    {"x": {"n": 64, "spacing": 0.15, "origin": 0.0}}; extra metadata is
-    merged into the sidecar under "extra".
+    axes maps axis names to a description in array order, which the
+    sidecar keeps, e.g. {"x": {"n": 64, "spacing": 0.15, "origin": 0.0}};
+    extra metadata is merged into the sidecar under "extra".
     """
     array = np.ascontiguousarray(array, dtype="<f8")
     axes = dict(axes)
@@ -54,7 +54,7 @@ def write_snapshot(base, array, axes, units="", extra=None):
     base = str(base)
     _atomic_write(base + ".f64", array.tobytes())
     _atomic_write(base + ".json",
-                  (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+                  (json.dumps(meta, indent=2) + "\n").encode())
 
 
 def read_snapshot(base):

@@ -1,8 +1,38 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinkin.config import RunConfig, config_from_dict, load_config
+
+POSITIVE_INT = st.integers(1, 2**31)
+POSITIVE_FLOAT = st.floats(min_value=0.0, exclude_min=True,
+                           allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid raw config: any subset of the optional keys, with dt,
+    t_end and cadence drawn so the cross-field constraints hold."""
+    cadence = draw(st.integers(1, 1000))
+    n_steps = cadence * draw(st.integers(2, 1000))
+    dt = draw(st.floats(1e-9, 1e3))
+    data = draw(st.fixed_dictionaries(
+        {"scenario": st.text(min_size=1)},
+        optional={"n_x": POSITIVE_INT, "length": POSITIVE_FLOAT,
+                  "n_v": POSITIVE_INT, "v_max": POSITIVE_FLOAT,
+                  "n_theta": POSITIVE_INT, "n_phi": POSITIVE_INT,
+                  "hbar": POSITIVE_FLOAT, "c": POSITIVE_FLOAT,
+                  "density": POSITIVE_FLOAT, "n_particles": POSITIVE_INT,
+                  "seed": st.integers(0, 2**31), "B0": FINITE, "B1": FINITE,
+                  "mode": POSITIVE_INT, "perturbation": FINITE,
+                  "out_dir": st.text(min_size=1)}))
+    data.update(dt=dt, t_end=n_steps * dt, cadence=cadence)
+    return data
 
 
 class TestDefaults:
@@ -71,6 +101,20 @@ class TestRoundTrip:
         again = load_config(path)
         assert again == cfg
         assert isinstance(again, RunConfig)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=valid_configs())
+    def test_any_valid_config_round_trips(self, data):
+        cfg = config_from_dict(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, path2 = (os.path.join(tmp, n) for n in ("a.json", "b.json"))
+            cfg.dump(path)
+            again = load_config(path)
+            again.dump(path2)
+            with open(path) as fh, open(path2) as fh2:
+                # equal text also pins each value's type (1 vs 1.0)
+                assert fh.read() == fh2.read()
+        assert again == cfg
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"

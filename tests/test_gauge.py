@@ -441,3 +441,10 @@ class TestCorrectedEquationResidual:
             gi_kinetic_residual(F_TEST, (0, 0, 0), (0, sp.exp(X), 0),
                                 PARAMS, [0.1])
 
+    @pytest.mark.parametrize("E, B", [((0, 0), (0, 0, 1)),
+                                      ((0, 0, 0), (0, 0, 1, 0))])
+    def test_field_component_count_checked(self, E, B):
+        name = "E" if len(E) != 3 else "B"
+        with pytest.raises(ValueError,
+                           match=f"{name} must have three components"):
+            gi_kinetic_residual(F_TEST, E, B, PARAMS, [0.1])

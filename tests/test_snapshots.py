@@ -48,6 +48,7 @@ class TestRoundTrip:
         assert got.tobytes() == arr.tobytes()
         assert got.shape == arr.shape
         assert meta["axes"] == axes
+        assert list(meta["axes"]) == list(axes)
 
     def test_payload_is_little_endian_f64(self, tmp_path):
         arr = np.array([1.0, -2.5])

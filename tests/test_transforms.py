@@ -323,16 +323,21 @@ class TestSpinMoments:
         assert np.allclose(vector, [0, 0, 1], atol=1e-12)
         assert np.max(np.abs(rho.rho - np.diag([1.0, 0.0]))) < 1e-12
 
-    def test_round_trip_random_matrices(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(100):
-            vec = rng.normal(size=3)
-            vec *= rng.random() / np.linalg.norm(vec)
-            rho = DensityMatrixSpin.from_bloch(vec)
-            _, _, back = spin_moments_and_reconstruct(spin_q_transform(rho, QUAD))
-            worst = max(worst, np.max(np.abs(back.rho - rho.rho)))
-        assert worst < 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(n_theta=st.integers(2, 16), n_phi=st.integers(4, 32),
+           length=st.floats(0.0, 1.0), cos_t=st.floats(-1.0, 1.0),
+           phi=st.floats(0.0, 2 * np.pi))
+    def test_round_trip_random_matrices(self, n_theta, n_phi, length, cos_t,
+                                        phi):
+        # Gauss-Legendre in mu and the trapezoid in phi integrate the l <= 2
+        # products of the moments exactly from n_theta = 2 and n_phi = 4
+        sin_t = np.sqrt(1.0 - cos_t**2)
+        vec = length * np.array([sin_t * np.cos(phi), sin_t * np.sin(phi),
+                                 cos_t])
+        rho = DensityMatrixSpin.from_bloch(vec)
+        quad = SphereQuadrature(n_theta, n_phi)
+        _, _, back = spin_moments_and_reconstruct(spin_q_transform(rho, quad))
+        assert np.max(np.abs(back.rho - rho.rho)) < 1e-12
 
     def test_invalid_distribution_flagged(self):
         from spinkin.transforms import SpinDistribution
