@@ -400,3 +400,174 @@ class TestKernelsMatchReference:
         ref = np.einsum("xvj,xij->xvi", flat, per_node).reshape(f.values.shape)
         got = _rotate_sphere(f.values, QUAD, fs.B, PARAMS, dt)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# The MUSCL kernels as written when every block allocated its own padded
+# copy, slopes and faces: the buffered sweeps must match them bit for bit.
+_PARENT_BLOCK_CELLS = 1 << 14
+
+
+def parent_mc_slope(qp):
+    d = np.diff(qp, axis=1)
+    sign = np.sign(d)
+    factor = sign[:, 1:] + sign[:, :-1]
+    a = np.abs(d)
+    lim = np.minimum(a[:, 1:], a[:, :-1])
+    centered = d[:, 1:] + d[:, :-1]
+    np.abs(centered, out=centered)
+    centered *= 0.25
+    np.minimum(lim, centered, out=lim)
+    lim *= factor
+    return lim
+
+
+def parent_muscl_sweep(q, u, dt, h, limiter, periodic):
+    if periodic:
+        qp = np.concatenate([q[:, -2:], q, q[:, :2]], axis=1)
+    else:
+        zeros = np.zeros_like(q[:, :2])
+        qp = np.concatenate([zeros, q, zeros], axis=1)
+    if limiter == "mc":
+        sigma = parent_mc_slope(qp)
+    else:
+        sigma = (qp[:, 2:] - qp[:, :-2]) / 2
+    nu = u * dt / h
+    from_left = 0.5 * (1 - nu) * sigma[:, :-1]
+    from_left += qp[:, 1:-2]
+    from_right = 0.5 * (1 + nu) * sigma[:, 1:]
+    np.subtract(qp[:, 2:-1], from_right, out=from_right)
+    flux = np.where(u >= 0, from_left, from_right)
+    flux *= u
+    div = np.diff(flux, axis=1)
+    div *= dt / h
+    return q - div
+
+
+def parent_advect_axis(values, axis, speed, dt, h, limiter="mc",
+                       periodic=False):
+    values = np.ascontiguousarray(values, dtype=float)
+    u = np.asarray(speed, dtype=float)
+    u = u.reshape((1,) * (values.ndim - u.ndim) + u.shape)
+    n = values.shape[axis]
+    rows = int(np.prod(values.shape[:axis]))
+    cols = int(np.prod(values.shape[axis + 1:]))
+    q = values.reshape(rows, n, cols)
+    u = np.broadcast_to(u, (*values.shape[:axis], 1, *values.shape[axis + 1:]))
+    u = u.reshape(rows, 1, cols)
+    out = np.empty_like(q)
+    row_step = max(1, _PARENT_BLOCK_CELLS // (n * cols))
+    col_step = cols if row_step > 1 else max(1, _PARENT_BLOCK_CELLS // n)
+    for r in range(0, rows, row_step):
+        for c in range(0, cols, col_step):
+            block = (slice(r, r + row_step), slice(None), slice(c, c + col_step))
+            out[block] = parent_muscl_sweep(q[block], u[block], dt, h, limiter,
+                                            periodic)
+    return out.reshape(values.shape)
+
+
+def _sweep_values(shape, seed):
+    """Random f with flat patches, exact zeros and signed zeros, so every
+    sign case of the limiter occurs."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(shape)
+    values[values < 0.15] = 0.0
+    flat = values.reshape(-1)
+    flat[::17] = 0.25
+    flat[5::23] = -0.0
+    return values
+
+
+def _sweep_speed(shape, axis, sign, seed):
+    """One speed per swept line: all >= 0 (with exact zeros), all < 0, or
+    both signs inside every block."""
+    rng = np.random.default_rng(seed)
+    speed_shape = tuple(1 if a == axis else s for a, s in enumerate(shape))
+    u = rng.uniform(0.0, 2.0, speed_shape)
+    if sign == "nonneg":
+        u.reshape(-1)[::7] = 0.0
+    elif sign == "neg":
+        u = -u - 1e-3
+    else:
+        u.reshape(-1)[::2] *= -1.0
+        u.reshape(-1)[::11] = 0.0
+    return u
+
+
+class TestSweepsBitIdentical:
+    # (shape, axis): the first two split into blocks along rows (last one
+    # partial), the next two along columns (n * cols > one block), and the
+    # last sweeps axis 2 of a five-axis array in row blocks
+    LAYOUTS = [((40, 30, 20), 1), ((3, 4, 50, 100), 2), ((70, 10, 30), 0),
+               ((6, 90, 200), 1), ((4, 3, 5, 40, 12), 2)]
+
+    @pytest.mark.parametrize("sign", ["nonneg", "neg", "mixed"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("limiter", ["mc", "none"])
+    @pytest.mark.parametrize("layout", range(len(LAYOUTS)))
+    def test_advect_axis_matches_per_block_allocating_sweep(
+            self, layout, limiter, periodic, sign):
+        shape, axis = self.LAYOUTS[layout]
+        values = _sweep_values(shape, layout)
+        speed = _sweep_speed(shape, axis, sign, 10 + layout)
+        got = advect_axis(values, axis, speed, 0.04, 0.1, limiter, periodic)
+        ref = parent_advect_axis(values, axis, speed, 0.04, 0.1, limiter,
+                                 periodic)
+        assert got.shape == values.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_layouts_split_blocks_both_ways(self):
+        for shape, axis in self.LAYOUTS:
+            n = shape[axis]
+            rows = int(np.prod(shape[:axis]))
+            cols = int(np.prod(shape[axis + 1:]))
+            row_step = max(1, _PARENT_BLOCK_CELLS // (n * cols))
+            col_step = cols if row_step > 1 else _PARENT_BLOCK_CELLS // n
+            assert rows > row_step or cols > col_step
+        assert any(s[a] * int(np.prod(s[a + 1:])) > _PARENT_BLOCK_CELLS
+                   for s, a in self.LAYOUTS)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_broadcast_speed_on_every_axis(self, axis):
+        values = _sweep_values((9, 11, 13, 4), 3)
+        shape = [1] * values.ndim
+        shape[(axis + 1) % values.ndim] = values.shape[(axis + 1) % values.ndim]
+        speed = np.linspace(-1.5, 1.5, int(np.prod(shape))).reshape(shape)
+        for periodic in (True, False):
+            got = advect_axis(values, axis, speed, 0.03, 0.1, "mc", periodic)
+            ref = parent_advect_axis(values, axis, speed, 0.03, 0.1, "mc",
+                                     periodic)
+            assert np.array_equal(got, ref)
+
+
+def eulerian_spin_case(seed):
+    """The eulerian_spin benchmark inputs: tilted B with B_z = 0.5 + 0.2 sin x
+    and an l <= 1 Gaussian whose spin vector the seed picks."""
+    rng = np.random.default_rng([seed, 1])
+    direction = rng.normal(size=3)
+    spin = rng.uniform(0.3, 0.8) * direction / np.linalg.norm(direction)
+    grid = SpatialGrid1D(64, 2 * np.pi)
+    quad = SphereQuadrature(8, 16)
+    v = uniform_velocity_axis(64, 3.0)
+    fs = FieldState(grid)
+    fs.B[0] = 0.3
+    fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
+    fs.metadata["staggered"] = False
+    gx = sum(np.exp(-((grid.x - np.pi - 2 * np.pi * j) ** 2) / (2 * 0.8**2))
+             for j in (-1, 0, 1))
+    gv = np.exp(-(v**2) / (2 * 0.6**2))
+    sphere_part = (1 + quad.s_hat @ spin) / (4 * np.pi)
+    vals = gx[:, None, None, None] * gv[None, :, None, None] * sphere_part
+    return ExtendedDistribution(grid, (v,), quad, vals), fs
+
+
+@pytest.mark.parametrize("seed", [1431, 1436])
+def test_steps_match_fresh_quadrature_every_step(seed):
+    f, fs = eulerian_spin_case(seed)
+    ref = f
+    for _ in range(5):
+        f = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        fresh = ExtendedDistribution(ref.grid, ref.v_axes,
+                                     SphereQuadrature(8, 16), ref.values)
+        ref = eulerian_step(fresh, fs, PARAMS, 0.02, quantum_term=True)
+        assert np.array_equal(f.values, ref.values)
