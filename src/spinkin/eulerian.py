@@ -85,25 +85,26 @@ def uniform_velocity_axis(n_v, v_max) -> np.ndarray:
     return -v_max + (np.arange(n_v) + 0.5) * dv
 
 
-def _mc_slope(qp):
-    """Monotonized-central slopes of cells 1..n-2 of qp along axis 1.
+def _mc_slope(qp, work, out):
+    """Monotonized-central slopes of cells 1..n-2 of qp along axis 1, into out.
 
     With one-sided differences s1, s2 the slope is
     sign(s1) min(2|s1|, 2|s2|, |s1 + s2| / 2) where they agree in sign and
     zero otherwise; (sign s1 + sign s2) min(|s1|, |s2|, |s1 + s2| / 4) is
     the same number (scaling by 2 is exact) up to the sign of a zero.
+    work holds three arrays of qp's shape.
     """
-    d = np.diff(qp, axis=1)
-    sign = np.sign(d)
-    factor = sign[:, 1:] + sign[:, :-1]
-    a = np.abs(d)
-    lim = np.minimum(a[:, 1:], a[:, :-1])
-    centered = d[:, 1:] + d[:, :-1]
+    n = qp.shape[1]
+    d = np.subtract(qp[:, 1:], qp[:, :-1], out=work[0][:, :n - 1])
+    sign = np.sign(d, out=work[1][:, :n - 1])
+    factor = np.add(sign[:, 1:], sign[:, :-1], out=work[2][:, :n - 2])
+    a = np.abs(d, out=sign)
+    np.minimum(a[:, 1:], a[:, :-1], out=out)
+    centered = np.add(d[:, 1:], d[:, :-1], out=a[:, :n - 2])
     np.abs(centered, out=centered)
     centered *= 0.25
-    np.minimum(lim, centered, out=lim)
-    lim *= factor
-    return lim
+    np.minimum(out, centered, out=out)
+    out *= factor
 
 
 # cells per block swept together: small enough that a block's temporaries
@@ -118,8 +119,9 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     `axis`: one speed per line being swept.  A speed that varies along
     `axis` raises ValueError.  Boundary cells are periodic or zero-inflow.
     limiter 'mc' is TVD; 'none' uses Fromm slopes for clean second-order
-    convergence measurements.  Lines are swept in cache-sized blocks; a
-    line's update does not depend on the blocking.
+    convergence measurements.  Lines are swept in cache-sized blocks that
+    share one work buffer per call; a line's update does not depend on the
+    blocking.
     """
     values = np.ascontiguousarray(values, dtype=float)
     u = np.asarray(speed, dtype=float)
@@ -137,40 +139,66 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     q = values.reshape(rows, n, cols)
     u = np.broadcast_to(u, (*values.shape[:axis], 1, *values.shape[axis + 1:]))
     u = u.reshape(rows, 1, cols)
+    upwind_left = u >= 0
     out = np.empty_like(q)
     row_step = max(1, _BLOCK_CELLS // (n * cols))
     col_step = cols if row_step > 1 else max(1, _BLOCK_CELLS // n)
+    # padded block, three scratch arrays and the slopes; a partial block
+    # uses the leading corner
+    work = np.empty((5, min(row_step, rows), n + 4, min(col_step, cols)))
+    if not periodic:
+        work[0][:, :2] = 0.0
+        work[0][:, -2:] = 0.0
     for r in range(0, rows, row_step):
         for c in range(0, cols, col_step):
             block = (slice(r, r + row_step), slice(None), slice(c, c + col_step))
-            out[block] = _muscl_sweep(q[block], u[block], dt, h, limiter,
-                                      periodic)
+            _muscl_sweep(q[block], u[block], upwind_left[block], dt, h,
+                         limiter, periodic, work, out[block])
     return out.reshape(values.shape)
 
 
-def _muscl_sweep(q, u, dt, h, limiter, periodic):
-    """advect_axis along axis 1 of a (rows, n, cols) block."""
+def _muscl_sweep(q, u, upwind_left, dt, h, limiter, periodic, work, out):
+    """advect_axis along axis 1 of a (rows, n, cols) block, written to out.
+
+    upwind_left is u >= 0; where it holds in the whole block only the left
+    face states are built, and where it holds nowhere only the right ones.
+    """
+    rows, n, cols = q.shape
+    qp, s0, s1, s2, sigma = (w[:rows, :, :cols] for w in work)
+    qp[:, 2:-2] = q
     if periodic:
-        qp = np.concatenate([q[:, -2:], q, q[:, :2]], axis=1)
-    else:
-        zeros = np.zeros_like(q[:, :2])
-        qp = np.concatenate([zeros, q, zeros], axis=1)
-    if limiter == "mc":
-        sigma = _mc_slope(qp)
-    else:
-        sigma = (qp[:, 2:] - qp[:, :-2]) / 2
+        qp[:, :2] = q[:, -2:]
+        qp[:, -2:] = q[:, :2]
     # padded cells 0..n+3, slopes for cells 1..n+2; face k (k = 0..n, between
     # cells k+1 and k+2) takes the upwind reconstruction
-    nu = u * dt / h
-    from_left = 0.5 * (1 - nu) * sigma[:, :-1]
-    from_left += qp[:, 1:-2]
-    from_right = 0.5 * (1 + nu) * sigma[:, 1:]
-    np.subtract(qp[:, 2:-1], from_right, out=from_right)
-    flux = np.where(u >= 0, from_left, from_right)
+    sigma = sigma[:, :n + 2]
+    if limiter == "mc":
+        _mc_slope(qp, (s0, s1, s2), sigma)
+    else:
+        np.subtract(qp[:, 2:], qp[:, :-2], out=sigma)
+        sigma /= 2
+    nu = np.multiply(u, dt, out=s0[:, :1])
+    nu /= h
+    all_left = upwind_left.all()
+    all_right = not all_left and not upwind_left.any()
+    if not all_right:
+        coef = np.subtract(1, nu, out=s0[:, 1:2])
+        coef *= 0.5
+        from_left = np.multiply(coef, sigma[:, :-1], out=s1[:, :n + 1])
+        from_left += qp[:, 1:-2]
+        flux = from_left
+    if not all_left:
+        coef = np.add(1, nu, out=s0[:, 2:3])
+        coef *= 0.5
+        from_right = np.multiply(coef, sigma[:, 1:], out=s2[:, :n + 1])
+        np.subtract(qp[:, 2:-1], from_right, out=from_right)
+        if not all_right:
+            np.copyto(from_right, from_left, where=upwind_left)
+        flux = from_right
     flux *= u
-    div = np.diff(flux, axis=1)
+    div = np.subtract(flux[:, 1:], flux[:, :-1], out=sigma[:, :n])
     div *= dt / h
-    return q - div
+    np.subtract(q, div, out=out)
 
 
 def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
@@ -199,9 +227,10 @@ def _quantum_increment(f: ExtendedDistribution, dB_nodes, params, dt):
     lead = (f.grid.n, *([1] * len(f.v_axes)), 3)
     scale = dt * params.mu_B / (2 * f.dv[0] * params.mass)
     flux = f.quad.gradient_along(scale * dB_nodes.T.reshape(lead), f.values)
-    out = np.zeros_like(flux)
-    out[:, :-1] = flux[:, 1:]
-    out[:, 1:] -= flux[:, :-1]
+    out = np.empty_like(flux)
+    np.subtract(flux[:, 2:], flux[:, :-2], out=out[:, 1:-1])
+    out[:, 0] = flux[:, 1]
+    np.subtract(0.0, flux[:, -2], out=out[:, -1])
     return out
 
 
@@ -266,7 +295,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
         if two_v:
             out = advect_axis(out, 2, a_y, dt / 2, dvs[1], limiter)
         if quantum_term:
-            out = out + q_inc
+            out += q_inc
         return out
 
     vals = x_half(f.values)

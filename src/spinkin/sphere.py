@@ -114,14 +114,20 @@ class SphereQuadrature:
         Y_lm with l <= n_theta - 1 and |m| < n_phi / 2.
         """
         d, jump, p_odd = self._dmu_parts
-        odd = np.matmul(f, p_odd)
+        odd = self._along_phi(f, p_odd)
         out = np.matmul(jump, odd)
         out += np.matmul(d, f, out=odd)
         return out
 
     def dphi(self, f):
         """Spectral d/dphi along the last axis (a real operator)."""
-        return np.matmul(f, self._dphi)
+        return self._along_phi(f, self._dphi)
+
+    def _along_phi(self, f, op):
+        """f @ op for an (n_phi, n_phi) op, as one 2-D product over every
+        leading index rather than one small product per (..., theta) row."""
+        f = np.asarray(f)
+        return np.matmul(f.reshape(-1, self.n_phi), op).reshape(f.shape)
 
     @cached_property
     def _grad_mu_phi(self):
@@ -179,6 +185,11 @@ class SphereQuadrature:
         return self.rotation_interp_matrices(
             np.reshape(axis, (1, 3)), np.reshape(angle, (1,)), lmax)[0]
 
+    @cached_property
+    def _rotation_memo(self) -> dict:
+        """The most recent `rotation_interp_matrices` stack, by input bytes."""
+        return {}
+
     def rotation_interp_matrices(self, axes, angles, lmax=None):
         """(K, n, n) resampling matrices for the rotations (axes[k], angles[k]).
 
@@ -193,13 +204,26 @@ class SphereQuadrature:
         so no harmonic is evaluated and no complex algebra is needed.
         Exact for f of degree <= lmax (quadrature is exact to degree
         2*n_theta - 1).
+
+        A static field asks for the same stack every step, so the quadrature
+        keeps the most recent one, keyed on the bytes of `axes` and `angles`
+        and on `lmax`: an in-place edit of the caller's field, a new angle
+        or a new lmax misses and rebuilds.  The memo holds one stack (it is
+        dropped before a rebuild, so peak memory is one stack), and the
+        returned stack is read-only because later calls share it.
         """
         from .rotation import rodrigues_rotate
 
         if lmax is None:
             lmax = self.n_theta - 1
-        axes = np.asarray(axes, dtype=float)
-        angles = np.asarray(angles, dtype=float)
+        axes = np.ascontiguousarray(axes, dtype=float)
+        angles = np.ascontiguousarray(angles, dtype=float)
+        key = (lmax, axes.shape, angles.shape, axes.tobytes(),
+               angles.tobytes())
+        memo = self._rotation_memo
+        if key in memo:
+            return memo[key]
+        memo.clear()
         nodes = self.s_hat.reshape(-1, 3)
         back = rodrigues_rotate(
             np.broadcast_to(nodes, (len(angles), *nodes.shape)),
@@ -209,6 +233,8 @@ class SphereQuadrature:
         for k, dots in enumerate(mats):    # one matrix at a time stays in cache
             mats[k] = _legendre_series(dots, coef)
         mats *= self.weights.reshape(-1)
+        mats.flags.writeable = False
+        memo[key] = mats
         return mats
 
 

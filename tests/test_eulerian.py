@@ -571,3 +571,27 @@ def test_steps_match_fresh_quadrature_every_step(seed):
                                      SphereQuadrature(8, 16), ref.values)
         ref = eulerian_step(fresh, fs, PARAMS, 0.02, quantum_term=True)
         assert np.array_equal(f.values, ref.values)
+
+
+class TestRotationMemoInStep:
+    """A step that reuses the quadrature's rotation stack gives the bytes of
+    a step on a fresh quadrature, whatever changed in between."""
+
+    def fresh_step(self, f, fs, dt):
+        fresh = ExtendedDistribution(f.grid, f.v_axes, SphereQuadrature(8, 16),
+                                     f.values)
+        return eulerian_step(fresh, fs, PARAMS, dt, quantum_term=True).values
+
+    def test_in_place_field_edit_between_steps(self):
+        f, fs = eulerian_spin_case(1437)
+        f = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        fs.B[2] *= 1.1
+        fs.B[0, 3] = 0.31
+        got = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        assert np.array_equal(got.values, self.fresh_step(f, fs, 0.02))
+
+    def test_changed_dt_between_steps(self):
+        f, fs = eulerian_spin_case(1438)
+        f = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
+        got = eulerian_step(f, fs, PARAMS, 0.015, quantum_term=True)
+        assert np.array_equal(got.values, self.fresh_step(f, fs, 0.015))

@@ -175,6 +175,55 @@ def test_rotation_matrices_full_degree_large_grid(quad):
         assert np.max(np.abs(mat - ref)) <= 1e-12
 
 
+class TestRotationMemo:
+    AXES = np.array([[0.3, 0.0, 0.5], [0.3, 0.0, 0.7], [0.0, 0.0, 0.0]])
+    ANGLES = np.array([0.02, 0.03, 0.0])
+
+    def test_hit_returns_the_stack_read_only(self):
+        quad = SphereQuadrature(4, 8)
+        first = quad.rotation_interp_matrices(self.AXES, self.ANGLES)
+        again = quad.rotation_interp_matrices(self.AXES.copy(),
+                                              list(self.ANGLES))
+        assert again is first
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            quad.rotation_interp_matrix(self.AXES[0], self.ANGLES[0])[0] = 1.0
+
+    def test_changed_inputs_rebuild(self):
+        quad = SphereQuadrature(4, 8)
+        axes = self.AXES.copy()
+        quad.rotation_interp_matrices(axes, self.ANGLES)
+        axes[1, 2] += 1e-12               # an in-place edit of the field
+        for args in [(axes, self.ANGLES), (axes, 2 * self.ANGLES),
+                     (axes, 2 * self.ANGLES, 2), (axes[:2], self.ANGLES[:2])]:
+            got = quad.rotation_interp_matrices(*args)
+            fresh = SphereQuadrature(4, 8).rotation_interp_matrices(*args)
+            assert np.array_equal(got, fresh)
+
+    def test_memo_is_per_instance(self):
+        small, equal, other = (SphereQuadrature(4, 8), SphereQuadrature(4, 8),
+                               SphereQuadrature(3, 6))
+        small.rotation_interp_matrices(self.AXES, self.ANGLES)
+        got = other.rotation_interp_matrices(self.AXES, self.ANGLES)
+        assert got.shape == (3, 18, 18)
+        fresh = SphereQuadrature(3, 6).rotation_interp_matrices(self.AXES,
+                                                                self.ANGLES)
+        assert np.array_equal(got, fresh)
+        assert (equal.rotation_interp_matrices(self.AXES, self.ANGLES)
+                is not small.rotation_interp_matrices(self.AXES, self.ANGLES))
+
+    def test_alternating_fields_hold_one_entry(self):
+        quad = SphereQuadrature(4, 8)
+        for k in range(6):
+            angles = self.ANGLES * (1 + k % 2)
+            got = quad.rotation_interp_matrices(self.AXES, angles)
+            assert len(quad._rotation_memo) == 1
+            fresh = SphereQuadrature(4, 8).rotation_interp_matrices(self.AXES,
+                                                                    angles)
+            assert np.array_equal(got, fresh)
+
+
 @pytest.mark.parametrize("n_phi", [8, 9, 15, 16])
 def test_dphi_top_mode(n_phi):
     # the highest resolved mode is index n_phi // 2; only for even n_phi is
