@@ -7,11 +7,13 @@ exactly.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 # key -> (python type(s), range description, validator, default)
-_POSITIVE = ("> 0", lambda v: v > 0)
+_POSITIVE = ("finite, > 0", lambda v: 0 < v < math.inf)
 _NONNEG = (">= 0", lambda v: v >= 0)
+_FINITE = ("finite", math.isfinite)
 _SCHEMA = {
     "scenario": (str, "scenario name", lambda v: bool(v), None),
     "n_x": (int, *_POSITIVE, 64),
@@ -28,10 +30,10 @@ _SCHEMA = {
     "dt": (float, *_POSITIVE, 0.01),
     "t_end": (float, *_POSITIVE, 10.0),
     "cadence": (int, *_POSITIVE, 1),
-    "B0": (float, "finite", lambda v: True, 0.0),
-    "B1": (float, "finite", lambda v: True, 0.0),
+    "B0": (float, *_FINITE, 0.0),
+    "B1": (float, *_FINITE, 0.0),
     "mode": (int, *_POSITIVE, 1),
-    "perturbation": (float, "finite", lambda v: True, 1e-3),
+    "perturbation": (float, *_FINITE, 1e-3),
     "out_dir": (str, "directory path", lambda v: bool(v), "runs"),
 }
 

@@ -230,6 +230,8 @@ def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
     norm of the order-4 remainder whose scaling verifies the truncation.
     """
     f = sp.sympify(f_analytic)
+    if not f.free_symbols <= set(_COORDS):
+        raise ValueError("f_analytic may depend on (x, v, theta, phi) only")
     E = _as_vector("E", E)
     B = _as_vector("B", B)
     e, m = params.charge, params.mass

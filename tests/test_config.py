@@ -119,3 +119,35 @@ class TestRoundTrip:
         path.write_text(json.dumps([1, 2]))
         with pytest.raises(ValueError, match="object"):
             load_config(path)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("key", ["B0", "B1", "perturbation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_finite_fields_reject_nan_and_inf(self, key, value):
+        with pytest.raises(ValueError, match=f"{key}: value .* violates finite"):
+            config_from_dict({"scenario": "precession", key: value})
+
+    @pytest.mark.parametrize("key", ["length", "v_max", "hbar", "c",
+                                     "density", "dt", "t_end"])
+    def test_positive_floats_reject_inf(self, key):
+        with pytest.raises(ValueError, match=f"{key}: value inf violates"):
+            config_from_dict({"scenario": "precession", key: float("inf")})
+
+    def test_infinite_t_end_is_a_listed_violation(self):
+        # once t_end passed its own check, the step count overflowed
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({"scenario": "precession", "t_end": float("inf"),
+                              "n_x": 0})
+        msg = str(exc.value)
+        assert "t_end: value inf" in msg and "n_x: value 0" in msg
+
+    def test_json_infinity_literal_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "precession", "B0": NaN, '
+                        '"t_end": Infinity}')
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert "B0: value nan" in str(exc.value)
+        assert "t_end: value inf" in str(exc.value)

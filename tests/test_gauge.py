@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from spinkin import gauge
 from spinkin.gauge import (
     GaugeTransformSpec,
     TildeFields,
@@ -217,6 +218,38 @@ def test_dressing_factor_matches_complex_exp():
     assert np.max(np.abs(got - ref)) <= 4.5e-16
     theta = rng.uniform(-30.0, 30.0, (64, 64))
     assert np.max(np.abs(_unit_phase(theta) - np.exp(1j * theta))) <= 4.5e-16
+
+
+@pytest.mark.parametrize("params", [PARAMS,
+                                    PlasmaParams(mass=1.7, charge=0.9,
+                                                 hbar=0.8)])
+@pytest.mark.parametrize("amplitude, mode", [(0.25, 1), (0.37, 3)])
+def test_dressing_phases_match_out_of_place_expressions(
+        monkeypatch, params, amplitude, mode):
+    # the wigner_chain grid and a single-mode gauge's A_x: the in-place
+    # phase arithmetic keeps the bits of charge * abar * y / hbar and of
+    # charge * A_x * y / hbar
+    grid = SpatialGrid1D(512, 32.0)
+    k = 2 * np.pi * mode / grid.length
+    A_x = amplitude * k * np.cos(k * grid.x) + 0.05
+    y = np.arange(-grid.n // 2, grid.n // 2) * grid.dx
+    e, hbar = params.charge, params.hbar
+    phases = []
+
+    def recording(theta):
+        phases.append(theta.copy())
+        return _unit_phase(theta)
+
+    monkeypatch.setattr(gauge, "_unit_phase", recording)
+    line_integral_dressing(A_x, grid, params)(y)
+    assert np.array_equal(
+        phases[-1], e * _tau_average(A_x, grid, y) * y[None, :] / hbar)
+    psi = init_state("gaussian", dict(x0=16.0, width=1.2, p0=0.4,
+                                      theta0=1.0, phi0=0.3), grid)
+    kinetic_wigner_transform(psi, A_x, params, np.linspace(-2, 2, 4),
+                             quad=SphereQuadrature(2, 4))
+    assert np.array_equal(phases[-1], e * A_x[:, None] * y[None, :] / hbar)
+    assert len(phases) == 2
 
 
 def reference_dressed(psi, A_x, params, v, quad, line_integral, n_tau=16):
@@ -440,6 +473,18 @@ class TestCorrectedEquationResidual:
         with pytest.raises(ValueError):
             gi_kinetic_residual(F_TEST, (0, 0, 0), (0, sp.exp(X), 0),
                                 PARAMS, [0.1])
+
+    def test_extra_symbol_in_f_rejected_before_building(self, monkeypatch):
+        import spinkin.kinetic_residual as kr
+
+        def no_build(*args):
+            raise AssertionError("the symbolic build started")
+
+        monkeypatch.setattr(kr, "_as_vector", no_build)
+        with pytest.raises(ValueError, match=r"f_analytic may depend on "
+                                             r"\(x, v, theta, phi\) only"):
+            gi_kinetic_residual(F_TEST * sp.Symbol("q"), (0, 0, 0),
+                                (0, sp.sin(X), 0), PARAMS, [0.1])
 
     @pytest.mark.parametrize("E, B", [((0, 0), (0, 0, 1)),
                                       ((0, 0, 0), (0, 0, 1, 0))])
