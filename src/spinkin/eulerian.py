@@ -7,9 +7,14 @@ Fromm slopes for convergence studies), and the spin sector rotates about
 the local magnetic field by one path for every direction of B:
 Legendre-kernel resampling at the rotated nodes (the addition-theorem
 form of spherical-harmonic interpolation, see
-`SphereQuadrature.rotation_interp_matrices`).  The quantum term's sphere
-gradient is `SphereQuadrature.gradient_along`.  Velocity space is 1V
-(electrostatic) or 2V (magnetized, B along z).
+`SphereQuadrature.rotation_interp_matrices`, which keeps the stack of the
+most recent field, so a static B builds it once).  The quantum term's
+sphere gradient is `SphereQuadrature.gradient_along`.  Velocity space is
+1V (electrostatic) or 2V (magnetized, B along z).
+
+Each sweep runs over cache-sized blocks of lines that share one work
+buffer per call (padded block, scratch and slopes), so a step allocates
+its outputs and a few buffers, not temporaries per block.
 """
 
 from dataclasses import dataclass
@@ -230,6 +235,7 @@ def _quantum_increment(f: ExtendedDistribution, dB_nodes, params, dt):
     out = np.empty_like(flux)
     np.subtract(flux[:, 2:], flux[:, :-2], out=out[:, 1:-1])
     out[:, 0] = flux[:, 1]
+    # 0 - flux, not -flux: a zero flux leaves +0 at the edge
     np.subtract(0.0, flux[:, -2], out=out[:, -1])
     return out
 
