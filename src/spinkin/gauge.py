@@ -146,12 +146,8 @@ def line_integral_dressing(A, grid: SpatialGrid1D, params: PlasmaParams):
         return None
 
     def dress(y):
-        # charge * abar * y / hbar, in that order, without (N, N) temporaries
         abar = _tau_average(A_x, grid, y)
-        abar *= params.charge
-        abar *= y[None, :]
-        abar /= params.hbar
-        return _unit_phase(abar)
+        return _unit_phase(params.charge * abar * y[None, :] / params.hbar)
     return dress
 
 
@@ -196,9 +192,8 @@ def kinetic_wigner_transform(psi: SpinorField, A, params: PlasmaParams,
     A_x = _x_component(A, psi.grid.n)
 
     def dress(y):
-        phase = np.multiply(params.charge * A_x[:, None], y[None, :])
-        phase /= params.hbar
-        return _unit_phase(phase)
+        return _unit_phase(params.charge * A_x[:, None] * y[None, :]
+                           / params.hbar)
     return _dressed_transform(psi, params, grid_v, quad,
                               dress if np.max(np.abs(A_x)) else None)
 

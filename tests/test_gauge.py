@@ -226,9 +226,9 @@ def test_dressing_factor_matches_complex_exp():
 @pytest.mark.parametrize("amplitude, mode", [(0.25, 1), (0.37, 3)])
 def test_dressing_phases_match_out_of_place_expressions(
         monkeypatch, params, amplitude, mode):
-    # the wigner_chain grid and a single-mode gauge's A_x: the in-place
-    # phase arithmetic keeps the bits of charge * abar * y / hbar and of
-    # charge * A_x * y / hbar
+    # the wigner_chain grid and a single-mode gauge's A_x: the phases are
+    # charge * abar * y / hbar and charge * A_x * y / hbar bit for bit, so
+    # a rewrite that saves temporaries must keep this operation order
     grid = SpatialGrid1D(512, 32.0)
     k = 2 * np.pi * mode / grid.length
     A_x = amplitude * k * np.cos(k * grid.x) + 0.05

@@ -161,7 +161,9 @@ def test_batched_rotation_matches_harmonic_sum(axes, angle, lmax):
 def test_scalar_rotation_is_batched_row(quad):
     axis, angle = np.array([0.2, -0.7, 0.4]), 0.35
     single = quad.rotation_interp_matrix(axis, angle, lmax=6)
-    batched = quad.rotation_interp_matrices(axis[None], [angle], lmax=6)
+    # a fresh quadrature, so the batched stack is built, not the memo's
+    batched = SphereQuadrature(16, 32).rotation_interp_matrices(
+        axis[None], [angle], lmax=6)
     assert single.shape == (16 * 32, 16 * 32)
     assert np.array_equal(single, batched[0])
 
