@@ -49,6 +49,14 @@ def _sphere_gradient(expr):
             + PHI_HAT * sp.diff(expr, PHI) / sp.sin(THETA))
 
 
+def _closed_form_f(f_analytic):
+    """f as a sympy expression in the phase-space coordinates only."""
+    f = sp.sympify(f_analytic)
+    if not f.free_symbols <= set(_COORDS):
+        raise ValueError("f_analytic may depend on (x, v, theta, phi) only")
+    return f
+
+
 def _check_potential_family(name, expr):
     """Allow polynomials in x and single-mode sin/cos profiles, else raise."""
     expr = sp.sympify(expr)
@@ -127,9 +135,7 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
     (the defect of the semiclassical equation) and of the regrouping
     identity between the combined and split spin-force transport terms.
     """
-    f = sp.sympify(f_analytic)
-    if not f.free_symbols <= set(_COORDS):
-        raise ValueError("f_analytic may depend on (x, v, theta, phi) only")
+    f = _closed_form_f(f_analytic)
     V = _check_potential_family("V", V)
     A = _as_vector("A", A)
     B = _as_vector("B", B)
@@ -229,9 +235,7 @@ def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
     content, the regrouping defect (pure algebra, expected zero), and the
     norm of the order-4 remainder whose scaling verifies the truncation.
     """
-    f = sp.sympify(f_analytic)
-    if not f.free_symbols <= set(_COORDS):
-        raise ValueError("f_analytic may depend on (x, v, theta, phi) only")
+    f = _closed_form_f(f_analytic)
     E = _as_vector("E", E)
     B = _as_vector("B", B)
     e, m = params.charge, params.mass
