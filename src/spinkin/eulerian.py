@@ -13,7 +13,7 @@ sphere gradient is `SphereQuadrature.gradient_along`.  Velocity space is
 1V (electrostatic) or 2V (magnetized, B along z).
 
 Each sweep runs over cache-sized blocks of lines that share one work
-buffer per call (padded block, scratch and slopes), so a step allocates
+buffer per call (padded block, work arrays and slopes), so a step allocates
 its outputs and a few buffers, not temporaries per block.
 """
 
@@ -148,7 +148,7 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     out = np.empty_like(q)
     row_step = max(1, _BLOCK_CELLS // (n * cols))
     col_step = cols if row_step > 1 else max(1, _BLOCK_CELLS // n)
-    # padded block, three scratch arrays and the slopes; a partial block
+    # padded block, three work arrays and the slopes; a partial block
     # uses the leading corner
     work = np.empty((5, min(row_step, rows), n + 4, min(col_step, cols)))
     if not periodic:
