@@ -177,8 +177,9 @@ def cmd_transform(args):
         if args.kind == "gi":
             A = extra.get("A_x", A)
         dress = line_integral_dressing(A, grid, params)
-        f_xv = params.mass * phase_space_correlation(
-            psi.psi, grid, p, params.hbar, IDENTITY2[None], dress)[0]
+        f_xv = phase_space_correlation(psi.psi, grid, p, params.hbar,
+                                       IDENTITY2[None], dress)[0]
+        f_xv *= params.mass
         axes = {"x": {"n": grid.n, "spacing": grid.dx, "origin": 0.0},
                 "v": {"n": len(v), "spacing": float(v[1] - v[0]),
                       "origin": float(v[0])}}

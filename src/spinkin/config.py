@@ -98,7 +98,11 @@ def config_from_dict(data: dict) -> RunConfig:
             continue
         val = data[key]
         if typ is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
+            try:
+                val = float(val)
+            except OverflowError:
+                errors.append(f"{key}: integer out of float range ({rng})")
+                continue
         if isinstance(val, bool):
             errors.append(f"{key}: expected {typ.__name__}, got bool")
             continue

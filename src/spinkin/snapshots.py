@@ -16,7 +16,8 @@ import numpy as np
 FORMAT_VERSION = 1
 
 
-def _atomic_write(path, payload: bytes):
+def _atomic_write(path, payload):
+    """Write a bytes-like payload (bytes or a C-contiguous array) to path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-snapshot-")
     try:
@@ -52,7 +53,8 @@ def write_snapshot(base, array, axes, units="", extra=None):
     if extra:
         meta["extra"] = dict(extra)
     base = str(base)
-    _atomic_write(base + ".f64", array.tobytes())
+    # the contiguous <f8 array's own buffer holds the file bytes
+    _atomic_write(base + ".f64", array)
     _atomic_write(base + ".json",
                   (json.dumps(meta, indent=2) + "\n").encode())
 

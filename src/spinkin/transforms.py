@@ -1,11 +1,14 @@
 """Quasi-distribution transforms: spatial Wigner function and spin Q-function.
 
 Every Wigner-type transform goes through `phase_space_correlation`, which
-contracts the spin indices of the correlation with the operators its
-caller keeps, so the complex pair array W_ab is never formed.  The
-shifted factors psi(x +- y/2) are strided windows of the doubled grid;
-on the conjugate momentum axis the lag sum is one FFT per operator, and
-any other momentum axis takes a dense product with a cos/sin table.
+contracts the spin indices of the correlation with the Hermitian operators
+its caller keeps, so the complex pair array W_ab is never formed.  The
+shifted factors psi(x +- y/2) are strided windows of the doubled grid.
+A Hermitian contraction's lag correlation is conjugate-symmetric in the
+lag, so only the N/2 + 1 lags y >= 0 are summed, the unpaired lag -N/2
+through its real part.  On the conjugate momentum axis that sum is one
+real inverse FFT per operator, and any other momentum axis takes a dense
+product with half-lag cos/sin tables.
 
 The Wigner transform maps a normalized wavefunction on a periodic grid to a
 real phase-space field f(x, p); the spin Q-transform maps a 2x2 density
@@ -132,18 +135,17 @@ def conjugate_momentum_axis(grid: SpatialGrid1D, hbar: float) -> np.ndarray:
 
 
 def _lag_windows(u, n, sign):
-    """(n_comp, N, N) view [:, x, j] = u[:, (2x + sign (j - N/2)) mod 2N].
+    """(n_comp, N, N/2 + 1) view [:, x, m] = u[:, (2x + sign m) mod 2N].
 
     u is (n_comp, 2N) on the doubled grid; the rows are windows of its
     period extension that step by 2 along x, read backwards for sign < 0.
     """
-    ext = np.concatenate([u, u, u], axis=-1)
-    if sign > 0:
-        start = 2 * n - n // 2
-    else:
-        ext, start = ext[:, ::-1], 4 * n - 1 - n // 2
-    rows = np.lib.stride_tricks.sliding_window_view(ext, n, axis=-1)
-    return rows[:, start:start + sign * 2 * n:sign * 2]
+    ext = np.concatenate([u, u], axis=-1)
+    start = 0
+    if sign < 0:
+        ext, start = ext[:, ::-1], 2 * n - 1
+    rows = np.lib.stride_tricks.sliding_window_view(ext, n // 2 + 1, axis=-1)
+    return rows[:, start::2 * sign][:, :n]
 
 
 def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
@@ -157,23 +159,29 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
     Each op enters the correlation before the y sum, so it costs one
     product and one y sum.  y = m dx with m = -N/2 .. N/2-1 runs over one
     period, the half-point shifts come from trigonometric interpolation
-    onto the doubled grid, and dress, if given, maps the lag vector y to
-    an (N, N) kernel factor (None means 1).
+    onto the doubled grid, and dress, if given, maps a lag vector y to an
+    (N, len(y)) kernel factor with dress(x, -y) = dress(x, y)* (None
+    means 1).
+
+    For a Hermitian op the lag correlation c(x, y) of Tr(op W) obeys
+    c(x, -y) = c(x, y)*, so Re Tr(op W) needs only m = 0 .. N/2: each
+    0 < m < N/2 counts twice, and the unpaired lag -N/2 enters once, as
+    Re[c(x, N/2 dx) exp(-i p N dx / 2 hbar)], which equals its own term
+    because c(x, -N/2 dx) = c(x, N/2 dx)*.  A non-Hermitian op raises
+    ValueError.
 
     psi(x +- y/2) sits at doubled-grid index 2x +- m, so both factors are
     strided windows of the doubled grid, not gathered copies.  On the
-    conjugate axis exp(-i p_k y_m / hbar) = exp(-2 pi i k m / N), so with
-    m = j - N/2 and k = l - N/2 the y sum is (-1)^(j + l + N/2) times one
-    FFT over j; the signs are exact flips.  Any other p_axis takes the
-    dense product with a cos/sin table.
-
-    The lag y = -N/2 dx has no +N/2 partner, so W is Hermitian
-    (W_ba = W_ab*) only up to that column: about 7e-7 relative for a
-    width-1.2 packet with L = 16, N = 128.  Only Re Tr(op W) is returned,
-    and callers read nothing else.
+    conjugate axis p_l = 2 pi hbar (l - N/2) / L the half-lag sum is one
+    real inverse FFT over m of (-1)^m c*, whose dropped imaginary parts
+    of bins 0 and N/2 are exactly the rule above; the signs are exact
+    flips.  Any other p_axis takes the dense product with cos/sin tables
+    weighted 1 at m = 0 and m = N/2 and 2 in between.
     """
     psi = np.asarray(psi, dtype=complex)
     ops = np.asarray(ops, dtype=complex)
+    if np.abs(ops - ops.conj().swapaxes(-1, -2)).max(initial=0.0) >= 1e-12:
+        raise ValueError("correlation operators must be Hermitian")
     n = grid.n
     psi_k = np.fft.fft(psi, axis=-1)
     padded = np.zeros((len(psi), 2 * n), dtype=complex)
@@ -181,24 +189,28 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
     padded[:, -n // 2:] = psi_k[:, -n // 2:]
     psi2 = np.fft.ifft(padded, axis=-1) * 2.0
 
-    y = np.arange(-n // 2, n // 2) * grid.dx
+    y = np.arange(n // 2 + 1) * grid.dx
     factor = None if dress is None else dress(y)
     scale = grid.dx / (2.0 * np.pi * hbar)
     use_fft = np.array_equal(p_axis, conjugate_momentum_axis(grid, hbar))
     psi2_minus = psi2.conj()
     if use_fft:
-        # (-1)^(j + N/2) of lag index j is (-1)^q of the minus side's
-        # doubled-grid index q = 2x - m; the output carries (-1)^l
+        # (-1)^m of lag m is (-1)^q of the minus side's doubled-grid
+        # index q = 2x - m; irfft divides by N
         psi2_minus[:, 1::2] *= -1.0
-        scale = np.where(np.arange(n) % 2 == 0, scale, -scale)
+        scale *= n
     else:
         arg = np.outer(y, p_axis) / hbar
         cos, sin = np.cos(arg), np.sin(arg)
+        # lags 0 < m < N/2 also stand for their -m partners
+        cos[1:-1] *= 2.0
+        sin[1:-1] *= 2.0
 
     left = _lag_windows(psi2, n, +1)
-    out = np.empty((len(ops), n, len(p_axis)))
-    # one (N, N) correlation buffer serves every op
-    corr = np.empty((n, n), dtype=complex)
+    # one returned op needs no stack to copy into
+    out = None if len(ops) == 1 else np.empty((len(ops), n, len(p_axis)))
+    # one (N, N/2 + 1) correlation buffer serves every op
+    corr = np.empty((n, n // 2 + 1), dtype=complex)
     for k, op in enumerate(ops):
         # sum_b op_ba psi_b*(x - y/2)
         right = _lag_windows(op.T @ psi2_minus, n, -1)
@@ -206,10 +218,16 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
         if factor is not None:
             corr *= factor
         if use_fft:
-            out[k] = np.fft.fft(corr, axis=-1).real
+            np.conjugate(corr, out=corr)
+            w = np.fft.irfft(corr, n, axis=-1)
         else:
             # Re[corr exp(-i arg)]: two real products instead of one complex
-            out[k] = corr.real @ cos + corr.imag @ sin
+            w = corr.real @ cos
+            w += corr.imag @ sin
+        if out is None:
+            out = w[None]
+        else:
+            out[k] = w
     out *= scale
     return out
 

@@ -181,6 +181,32 @@ class TestTransform:
             assert spheres == []
             assert ops_seen == [(1, 2, 2)]
 
+    @pytest.mark.parametrize("kind, budget", [("wigner", 2.5), ("gi", 3.5)])
+    def test_transform_peak_memory(self, tmp_path, capsys, kind, budget):
+        # traced peak of one N = 512 call, in units of one real (N, N)
+        # array: the output plus the half-lag correlation and the dressing
+        # factor, with no full-lag arrays or output copies
+        import tracemalloc
+
+        n, length = 512, 32.0
+        base = write_state(tmp_path, n=n, length=length)
+        data, meta = read_snapshot(base)
+        k = 2 * np.pi * 2 / length
+        A_x = 0.3 * k * np.cos(k * np.arange(n) * length / n)
+        write_snapshot(base, data, meta["axes"],
+                       extra=dict(meta["extra"], A_x=A_x.tolist()))
+        # the first call pays the imports and the parser
+        assert main(["transform", "--input", base, "--kind", kind]) == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["transform", "--input", base, "--kind", kind]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= budget * n * n * 8, f"{peak / (n * n * 8):.2f} N^2 x 8 B"
+
     def test_wrong_shape_rejected(self, tmp_path, capsys):
         base = str(tmp_path / "bad")
         write_snapshot(base, np.zeros((3, 4)), {"a": {"n": 3}, "b": {"n": 4}})

@@ -143,6 +143,18 @@ class TestNonFinite:
         msg = str(exc.value)
         assert "t_end: value inf" in msg and "n_x: value 0" in msg
 
+    @pytest.mark.parametrize("key, value", [("B0", 10**400),
+                                            ("B1", -10**400),
+                                            ("length", 10**400)])
+    def test_huge_integer_is_a_listed_violation(self, key, value):
+        # float(10**400) raises OverflowError, not a config error
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({"scenario": "precession", key: value,
+                              "n_x": 0})
+        msg = str(exc.value)
+        assert f"{key}: integer out of float range" in msg
+        assert "n_x: value 0" in msg
+
     def test_json_infinity_literal_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"scenario": "precession", "B0": NaN, '

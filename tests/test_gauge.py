@@ -233,6 +233,8 @@ def test_dressing_phases_match_out_of_place_expressions(
     k = 2 * np.pi * mode / grid.length
     A_x = amplitude * k * np.cos(k * grid.x) + 0.05
     y = np.arange(-grid.n // 2, grid.n // 2) * grid.dx
+    # the kernel's lag vector: m = 0 .. N/2
+    y_half = np.arange(grid.n // 2 + 1) * grid.dx
     e, hbar = params.charge, params.hbar
     phases = []
 
@@ -248,7 +250,8 @@ def test_dressing_phases_match_out_of_place_expressions(
                                       theta0=1.0, phi0=0.3), grid)
     kinetic_wigner_transform(psi, A_x, params, np.linspace(-2, 2, 4),
                              quad=SphereQuadrature(2, 4))
-    assert np.array_equal(phases[-1], e * A_x[:, None] * y[None, :] / hbar)
+    assert np.array_equal(phases[-1],
+                          e * A_x[:, None] * y_half[None, :] / hbar)
     assert len(phases) == 2
 
 

@@ -50,12 +50,29 @@ class TestRoundTrip:
         assert meta["axes"] == axes
         assert list(meta["axes"]) == list(axes)
 
-    def test_payload_is_little_endian_f64(self, tmp_path):
-        arr = np.array([1.0, -2.5])
+    @pytest.mark.parametrize("dtype", ["<f8", ">f8", "<f4"])
+    def test_payload_is_little_endian_f64(self, tmp_path, dtype):
+        arr = np.array([1.0, -2.5], dtype=dtype)
         base = str(tmp_path / "raw")
         write_snapshot(base, arr, {"x": {"n": 2}})
         raw = open(base + ".f64", "rb").read()
         assert raw == arr.astype("<f8").tobytes()
+
+    def test_payload_written_without_a_copy(self, tmp_path):
+        # a contiguous <f8 array goes to the file from its own buffer
+        import tracemalloc
+
+        arr = np.random.default_rng(0).standard_normal((512, 512))
+        base = str(tmp_path / "big")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_snapshot(base, arr, {"x": {"n": 512}, "v": {"n": 512}})
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * arr.nbytes
+        assert open(base + ".f64", "rb").read() == arr.tobytes()
 
 
 class TestGuards:

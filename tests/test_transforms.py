@@ -243,19 +243,37 @@ class TestCorrelationKernel:
 
         for name in ("cos", "sin"):
             monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
-        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        for name in ("fft", "irfft"):
+            monkeypatch.setattr(np.fft, name,
+                                counted(name, getattr(np.fft, name)))
 
         phase_space_correlation(psi, grid, conjugate_momentum_axis(grid, 0.8),
                                 0.8, SPIN_BASIS)
-        assert [c for c in calls if c[0] != "fft"] == []
-        assert calls.count(("fft", (32, 32))) == 4
+        assert [c for c in calls if c[0] not in ("fft", "irfft")] == []
+        assert ("fft", (32, 32)) not in calls
+        assert calls.count(("irfft", (32, 17))) == 4
 
         calls.clear()
         phase_space_correlation(psi, grid, np.linspace(-2.5, 2.5, 25)[:-1],
                                 0.8, SPIN_BASIS)
-        assert calls.count(("cos", (32, 24))) == 1
-        assert calls.count(("sin", (32, 24))) == 1
+        assert calls.count(("cos", (17, 24))) == 1
+        assert calls.count(("sin", (17, 24))) == 1
         assert ("fft", (32, 32)) not in calls
+        assert [c for c in calls if c[0] == "irfft"] == []
+
+    def test_non_hermitian_op_rejected(self):
+        # the half-lag sum is exact only for Hermitian ops
+        grid = SpatialGrid1D(32, 12.0)
+        psi = random_state(6, 2, grid)
+        p = conjugate_momentum_axis(grid, 1.0)
+        for op in (np.array([[0, 1], [0, 0]]), np.diag([1.0, 1j])):
+            with pytest.raises(ValueError, match="Hermitian"):
+                phase_space_correlation(psi, grid, p, 1.0,
+                                        np.stack([SPIN_BASIS[0], op]))
+        # a 1e-13 asymmetry is rounding, as in spin_q_transform
+        near = SPIN_BASIS[1] + np.array([[0, 1e-13], [0, 0]])
+        assert phase_space_correlation(psi, grid, p, 1.0,
+                                       near[None]).shape == (1, 32, 32)
 
     def test_diagonal_pairs_are_wigner_transforms(self):
         grid = SpatialGrid1D(64, 16.0)
