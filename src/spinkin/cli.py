@@ -59,10 +59,8 @@ def _series_from_run(preset, out_dir):
 
 
 def _check_precession(out_dir):
-    from .params import PlasmaParams
-
     cfg, series = _series_from_run(CHECK_PRESETS["precession"], out_dir)
-    params = PlasmaParams(hbar=cfg.hbar, c=cfg.c)
+    params = cfg.params
     target = 2 * params.mu_B * cfg.B0 / params.hbar
     fit = fit_frequency(series, "sigma_x")
     dev = np.max(series.columns["spin_norm_dev"])
@@ -92,10 +90,8 @@ def _check_plasma_osc_fluid(out_dir):
 
 
 def _check_stern_gerlach(out_dir):
-    from .params import PlasmaParams
-
     cfg, series = _series_from_run(CHECK_PRESETS["stern_gerlach"], out_dir)
-    params = PlasmaParams(hbar=cfg.hbar, c=cfg.c)
+    params = cfg.params
     target = params.mu_B * cfg.B1 / params.mass
     t = series.time
     rels = []
@@ -157,8 +153,12 @@ def cmd_transform(args):
         print("transform input must be a (2, N, 2) spinor snapshot "
               "(component, x, re/im)", file=sys.stderr)
         return 2
-    grid = SpatialGrid1D(data.shape[1], float(extra.get("length", 2 * np.pi)))
-    params = PlasmaParams(hbar=float(extra.get("hbar", 1.0)))
+    missing = [key for key in ("length", "hbar") if key not in extra]
+    if missing:
+        raise ValueError(f"{args.input}: sidecar extra lacks "
+                         + ", ".join(missing))
+    grid = SpatialGrid1D(data.shape[1], float(extra["length"]))
+    params = PlasmaParams(hbar=float(extra["hbar"]))
     psi = SpinorField(grid, data[:, :, 0] + 1j * data[:, :, 1]).normalized()
     out_base = args.out or (args.input + "." + args.kind)
 

@@ -1,71 +1,67 @@
 """Run configuration: strict JSON schema with defaults and validation.
 
-A configuration is a flat JSON object.  Unknown keys are rejected, every
-violation is reported (all at once) with the expected type and range, and
-a write-then-read round trip reproduces the default-expanded config
-exactly.
+Every key is declared once, as a `RunConfig` field: the annotation is its
+type, the default its default (a field without one is required), and the
+metadata its range text and validator.  An integer key is finite below
+2**63.  A configuration is a flat JSON object.  Unknown keys are rejected,
+every violation is reported (all at once) with the expected type and
+range, and a write-then-read round trip reproduces the default-expanded
+config exactly.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-# key -> (python type(s), range description, validator, default)
+from .params import PlasmaParams
+
+_INT_LIMIT = 2**63
+
+
+def _key(default, rng, check):
+    return field(default=default, metadata={"range": rng, "check": check})
+
+
+# (range text, validator) pairs shared by several keys
+_POSITIVE_INT = ("finite, > 0", lambda v: 0 < v < _INT_LIMIT)
 _POSITIVE = ("finite, > 0", lambda v: 0 < v < math.inf)
-_NONNEG = (">= 0", lambda v: v >= 0)
 _FINITE = ("finite", math.isfinite)
-_SCHEMA = {
-    "scenario": (str, "scenario name", lambda v: bool(v), None),
-    "n_x": (int, *_POSITIVE, 64),
-    "length": (float, *_POSITIVE, 10.0),
-    "n_v": (int, *_POSITIVE, 32),
-    "v_max": (float, *_POSITIVE, 4.0),
-    "n_theta": (int, *_POSITIVE, 8),
-    "n_phi": (int, *_POSITIVE, 16),
-    "hbar": (float, *_POSITIVE, 1.0),
-    "c": (float, *_POSITIVE, 1.0),
-    "density": (float, *_POSITIVE, 1.0),
-    "n_particles": (int, *_POSITIVE, 20000),
-    "seed": (int, *_NONNEG, 0),
-    "dt": (float, *_POSITIVE, 0.01),
-    "t_end": (float, *_POSITIVE, 10.0),
-    "cadence": (int, *_POSITIVE, 1),
-    "B0": (float, *_FINITE, 0.0),
-    "B1": (float, *_FINITE, 0.0),
-    "mode": (int, *_POSITIVE, 1),
-    "perturbation": (float, *_FINITE, 1e-3),
-    "out_dir": (str, "directory path", lambda v: bool(v), "runs"),
-}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, default-expanded run configuration."""
 
-    scenario: str
-    n_x: int
-    length: float
-    n_v: int
-    v_max: float
-    n_theta: int
-    n_phi: int
-    hbar: float
-    c: float
-    density: float
-    n_particles: int
-    seed: int
-    dt: float
-    t_end: float
-    cadence: int
-    B0: float
-    B1: float
-    mode: int
-    perturbation: float
-    out_dir: str
+    scenario: str = _key(MISSING, "scenario name", bool)
+    n_x: int = _key(64, *_POSITIVE_INT)
+    length: float = _key(10.0, *_POSITIVE)
+    n_v: int = _key(32, *_POSITIVE_INT)
+    v_max: float = _key(4.0, *_POSITIVE)
+    n_theta: int = _key(8, *_POSITIVE_INT)
+    n_phi: int = _key(16, *_POSITIVE_INT)
+    hbar: float = _key(1.0, *_POSITIVE)
+    c: float = _key(1.0, *_POSITIVE)
+    density: float = _key(1.0, *_POSITIVE)
+    n_particles: int = _key(20000, *_POSITIVE_INT)
+    seed: int = _key(0, "finite, >= 0", lambda v: 0 <= v < _INT_LIMIT)
+    dt: float = _key(0.01, *_POSITIVE)
+    t_end: float = _key(10.0, *_POSITIVE)
+    cadence: int = _key(1, *_POSITIVE_INT)
+    B0: float = _key(0.0, *_FINITE)
+    B1: float = _key(0.0, *_FINITE)
+    mode: int = _key(1, *_POSITIVE_INT)
+    perturbation: float = _key(1e-3, *_FINITE)
+    out_dir: str = _key("runs", "directory path", bool)
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+    @property
+    def params(self) -> PlasmaParams:
+        """The run's constants: hbar and c from the config, e = m =
+        epsilon0 = 1 and mu0 = 1/c^2."""
+        return PlasmaParams(hbar=self.hbar, c=self.c)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -74,6 +70,16 @@ class RunConfig:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _shown(val):
+    """repr of a rejected value; an integer past the int bound by its digit
+    count, since str() of one over 4300 digits raises."""
+    if isinstance(val, int) and abs(val) >= _INT_LIMIT:
+        n = abs(val)
+        digits = int(n.bit_length() * math.log10(2))
+        return f"<{digits + (n >= 10**digits)}-digit integer>"
+    return repr(val)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -85,16 +91,19 @@ def config_from_dict(data: dict) -> RunConfig:
     errors = []
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    for key in sorted(set(data) - set(_SCHEMA)):
+    schema = fields(RunConfig)
+    for key in sorted(set(data) - {f.name for f in schema}):
         errors.append(f"{key}: unknown key (strict mode)")
 
     values = {}
-    for key, (typ, rng, check, default) in _SCHEMA.items():
+    for f in schema:
+        key, typ = f.name, f.type
+        rng, check = f.metadata["range"], f.metadata["check"]
         if key not in data:
-            if default is None:
+            if f.default is MISSING:
                 errors.append(f"{key}: required ({typ.__name__}, {rng})")
             else:
-                values[key] = default
+                values[key] = f.default
             continue
         val = data[key]
         if typ is float and isinstance(val, int) and not isinstance(val, bool):
@@ -109,10 +118,10 @@ def config_from_dict(data: dict) -> RunConfig:
         if not isinstance(val, typ):
             errors.append(
                 f"{key}: expected {typ.__name__} ({rng}), "
-                f"got {type(val).__name__} {val!r}")
+                f"got {type(val).__name__} {_shown(val)}")
             continue
         if not check(val):
-            errors.append(f"{key}: value {val!r} violates {rng}")
+            errors.append(f"{key}: value {_shown(val)} violates {rng}")
             continue
         values[key] = val
 

@@ -220,9 +220,8 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     mats = quad.rotation_interp_matrices(B_nodes.T[first], angle[first])
     flat = values.reshape(values.shape[0], -1, quad.n_theta * quad.n_phi)
     out = np.empty_like(flat)
-    for k, mat in enumerate(mats):
-        rows = inverse == k
-        out[rows] = flat[rows] @ mat.T
+    for x, k in enumerate(inverse):
+        np.matmul(flat[x], mats[k].T, out=out[x])
     return out.reshape(values.shape)
 
 

@@ -46,9 +46,6 @@ class FieldState:
         if np.ptp(self.B[0]) > 1e-12:
             raise ValueError("B_x must be uniform in 1D")
 
-    def H(self, params: PlasmaParams) -> np.ndarray:
-        return self.B / params.mu0 - self.M
-
     def b_nodes(self) -> np.ndarray:
         """B sampled at integer nodes (averages the staggered components).
 

@@ -160,7 +160,7 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
         - (2 * mu_B / HBAR) * S_HAT.cross(sp.diff(B, X, 2)).dot(
             _sphere_gradient(g2)))
 
-    rhs = sp.simplify(sin_term + cos_term)
+    rhs = sin_term + cos_term
 
     # regrouping identity: the combined spin-force operator
     # grad_x[(grad_s + s_hat) . B] . grad_v equals the sum of the
@@ -172,7 +172,7 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
                    + S_HAT.dot(B) * sp.diff(gvx, X))
     combined = sp.diff(whole, X) - passthrough
     split = S_HAT.dot(dB) * gvx + dB.dot(_sphere_gradient(gvx))
-    gap = sp.simplify((mu_B / m) * (combined - split))
+    gap = (mu_B / m) * (combined - split)
 
     hbar_list = np.asarray(hbar_list, dtype=float)
     return KineticResidualReport(hbar_list, *_norms((rhs, gap), hbar_list))

@@ -20,7 +20,6 @@ from .eulerian import ExtendedDistribution, eulerian_step, uniform_velocity_axis
 from .fields import FieldState, external_profiles, field_energy, solve_poisson
 from .fluid import FluidState, step_fluid
 from .grid import SpatialGrid1D
-from .params import PlasmaParams
 from .pic import (
     ParticleEnsemble,
     deposit_charge,
@@ -41,15 +40,10 @@ def _code_version():
         return "unknown"
 
 
-def _params(cfg: RunConfig) -> PlasmaParams:
-    return PlasmaParams(hbar=cfg.hbar, c=cfg.c)
-
-
 @dataclass
 class Scenario:
     """Callbacks driving one preset: state dict in, state dict out."""
 
-    name: str
     columns: tuple
     setup: callable
     step: callable
@@ -61,12 +55,11 @@ class Scenario:
 
 def _precession_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    params = _params(cfg)
     fs = external_profiles("uniform_B", dict(B0=cfg.B0), grid)
     ens = load_particles(grid, cfg.n_particles, v_thermal=0.0,
                          spin=[1.0, 0.0, 0.0], total_density=cfg.density,
                          seed=cfg.seed)
-    return dict(ens=ens, fs=fs, params=params)
+    return dict(ens=ens, fs=fs, params=cfg.params)
 
 
 def _precession_step(state, dt):
@@ -103,13 +96,12 @@ _PARTICLE_COLUMNS = ("kinetic_energy", "field_energy", "total_charge",
 
 def _plasma_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    params = _params(cfg)
     ens = load_particles(grid, cfg.n_particles,
                          density_amplitude=cfg.perturbation,
                          density_mode=cfg.mode, v_thermal=0.0,
                          total_density=cfg.density, seed=cfg.seed)
     fs = FieldState(grid)
-    state = dict(ens=ens, fs=fs, params=params, mode=cfg.mode)
+    state = dict(ens=ens, fs=fs, params=cfg.params, mode=cfg.mode)
     _plasma_fields(state)
     return state
 
@@ -122,7 +114,6 @@ def _plasma_fields(state):
     phi, E_x = solve_poisson(rho_c, ens.grid, params)
     state["fs"].E[0] = E_x
     state["fs"].phi = phi
-    state["rho_c"] = rho_c
 
 
 def _plasma_step(state, dt):
@@ -145,11 +136,10 @@ def _plasma_diagnose(state):
 
 def _fluid_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    params = _params(cfg)
     k = 2 * np.pi * cfg.mode / cfg.length
     n = cfg.density * (1 + cfg.perturbation * np.cos(k * grid.x))
     state = FluidState(grid, n, np.zeros(grid.n))
-    return dict(fluid=state, params=params, mode=cfg.mode, n0=cfg.density)
+    return dict(fluid=state, params=cfg.params, mode=cfg.mode)
 
 
 def _fluid_step(state, dt):
@@ -186,7 +176,6 @@ def _fluid_snapshot(state):
 
 def _stream_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    params = _params(cfg)
     quad = SphereQuadrature(cfg.n_theta, cfg.n_phi)
     v = uniform_velocity_axis(cfg.n_v, cfg.v_max)
     xw, vw = cfg.length / 12, cfg.v_max / 4
@@ -200,7 +189,7 @@ def _stream_setup(cfg):
             (quad.n_theta, quad.n_phi), 1 / (4 * np.pi))
 
     f = ExtendedDistribution(grid, (v,), quad, exact(0.0))
-    return dict(f=f, fs=FieldState(grid), params=params, exact=exact, t=0.0)
+    return dict(f=f, fs=FieldState(grid), params=cfg.params, exact=exact, t=0.0)
 
 
 def _stream_step(state, dt):
@@ -231,7 +220,6 @@ def _stream_snapshot(state):
 
 def _sg_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    params = _params(cfg)
     fs = external_profiles("gradient_B", dict(B0=cfg.B0, B1=cfg.B1), grid)
     n = cfg.n_particles
     half = n // 2
@@ -242,7 +230,7 @@ def _sg_setup(cfg):
     s_hat[half:, 2] = -1.0
     w = np.full(n, cfg.density * grid.length / n)
     ens = ParticleEnsemble(grid, x, v, s_hat, w)
-    return dict(ens=ens, fs=fs, params=params, half=half)
+    return dict(ens=ens, fs=fs, params=cfg.params, half=half)
 
 
 def _sg_diagnose(state):
@@ -255,21 +243,19 @@ def _sg_diagnose(state):
 
 SCENARIOS = {
     "precession": Scenario(
-        "precession", _PARTICLE_COLUMNS,
-        _precession_setup, _precession_step, _particle_diagnose,
-        _particle_snapshot),
+        _PARTICLE_COLUMNS, _precession_setup, _precession_step,
+        _particle_diagnose, _particle_snapshot),
     "plasma_osc": Scenario(
-        "plasma_osc", _PARTICLE_COLUMNS + ("E_mode",),
+        _PARTICLE_COLUMNS + ("E_mode",),
         _plasma_setup, _plasma_step, _plasma_diagnose, _particle_snapshot),
     "plasma_osc_fluid": Scenario(
-        "plasma_osc_fluid",
         ("kinetic_energy", "field_energy", "total_charge", "n_mode", "mass"),
         _fluid_setup, _fluid_step, _fluid_diagnose, _fluid_snapshot),
     "free_stream": Scenario(
-        "free_stream", ("mass", "l1_error", "min_f"),
+        ("mass", "l1_error", "min_f"),
         _stream_setup, _stream_step, _stream_diagnose, _stream_snapshot),
     "stern_gerlach": Scenario(
-        "stern_gerlach", _PARTICLE_COLUMNS + ("v_up", "v_down"),
+        _PARTICLE_COLUMNS + ("v_up", "v_down"),
         _sg_setup, _precession_step, _sg_diagnose, _particle_snapshot),
 }
 

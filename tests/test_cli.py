@@ -207,6 +207,19 @@ class TestTransform:
         capsys.readouterr()
         assert peak <= budget * n * n * 8, f"{peak / (n * n * 8):.2f} N^2 x 8 B"
 
+    @pytest.mark.parametrize("key", ["length", "hbar"])
+    def test_sidecar_without_length_or_hbar_rejected(self, tmp_path, capsys,
+                                                     key):
+        # a missing key was read as a 2 pi domain or hbar = 1
+        base = write_state(tmp_path)
+        data, meta = read_snapshot(base)
+        extra = {k: v for k, v in meta["extra"].items() if k != key}
+        write_snapshot(base, data, meta["axes"], extra=extra)
+        for kind in ("wigner", "spinq", "gi"):
+            assert main(["transform", "--input", base, "--kind", kind]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error:") and err.endswith(f"lacks {key}")
+
     def test_wrong_shape_rejected(self, tmp_path, capsys):
         base = str(tmp_path / "bad")
         write_snapshot(base, np.zeros((3, 4)), {"a": {"n": 3}, "b": {"n": 4}})

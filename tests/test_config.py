@@ -1,11 +1,15 @@
+import ast
+import dataclasses
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinkin
 from spinkin.config import RunConfig, config_from_dict, load_config
 
 POSITIVE_INT = st.integers(1, 2**31)
@@ -155,6 +159,26 @@ class TestNonFinite:
         assert f"{key}: integer out of float range" in msg
         assert "n_x: value 0" in msg
 
+    @pytest.mark.parametrize("key", ["n_x", "n_particles", "seed", "mode"])
+    def test_integer_keys_bounded_below_2_pow_63(self, key):
+        assert config_from_dict({"scenario": "x", key: 2**63 - 1})
+        with pytest.raises(ValueError,
+                           match=f"{key}: value <19-digit integer> violates"):
+            config_from_dict({"scenario": "x", key: 2**63})
+        with pytest.raises(ValueError,
+                           match=f"{key}: value <31-digit integer> violates"):
+            config_from_dict({"scenario": "x", key: 10**30})
+
+    @pytest.mark.parametrize("key", ["scenario", "out_dir"])
+    def test_huge_integer_value_named_by_digit_count(self, key):
+        # repr of an integer over 4300 digits raises inside the message
+        data = {"scenario": "x", key: 10**5000, "n_x": -(10**5000)}
+        with pytest.raises(ValueError) as exc:
+            config_from_dict(data)
+        msg = str(exc.value)
+        assert f"{key}: expected str" in msg and "<5001-digit integer>" in msg
+        assert "n_x: value <5001-digit integer> violates" in msg
+
     def test_json_infinity_literal_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"scenario": "precession", "B0": NaN, '
@@ -163,3 +187,29 @@ class TestNonFinite:
             load_config(path)
         assert "B0: value nan" in str(exc.value)
         assert "t_end: value inf" in str(exc.value)
+
+
+def _attributes_read(tree, owner):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == owner}
+
+
+def test_every_key_is_read():
+    """No config key that does nothing: each field is read as cfg.<key> in
+    the run loop or the checks, or by a RunConfig property read there."""
+    package = Path(spinkin.__file__).parent
+    read = set()
+    for name in ("scenarios.py", "cli.py"):
+        read |= _attributes_read(ast.parse((package / name).read_text()),
+                                 "cfg")
+    config = ast.parse((package / "config.py").read_text())
+    (cls,) = [node for node in config.body
+              if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
+    for fn in cls.body:
+        if (isinstance(fn, ast.FunctionDef) and fn.name in read
+                and any(isinstance(d, ast.Name) and d.id == "property"
+                        for d in fn.decorator_list)):
+            read |= _attributes_read(fn, "self")
+    unread = {f.name for f in dataclasses.fields(RunConfig)} - read
+    assert not unread, sorted(unread)

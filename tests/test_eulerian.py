@@ -561,6 +561,46 @@ def eulerian_spin_case(seed):
     return ExtendedDistribution(grid, (v,), quad, vals), fs
 
 
+def masked_rotate_sphere(values, quad, B_nodes, params, dt):
+    """`_rotate_sphere` as written with one boolean-mask gather and scatter
+    per distinct B node."""
+    Bmag = np.linalg.norm(B_nodes, axis=0)
+    angle = (2 * params.mu_B / params.hbar) * Bmag * dt
+    _, first, inverse = np.unique(np.round(B_nodes.T, 12), axis=0,
+                                  return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    mats = quad.rotation_interp_matrices(B_nodes.T[first], angle[first])
+    flat = values.reshape(values.shape[0], -1, quad.n_theta * quad.n_phi)
+    out = np.empty_like(flat)
+    for k, mat in enumerate(mats):
+        rows = inverse == k
+        out[rows] = flat[rows] @ mat.T
+    return out.reshape(values.shape)
+
+
+def uniform_b_2v_case():
+    """48 x nodes sharing one rotation, over a (48, 12) velocity plane."""
+    grid = SpatialGrid1D(48, 2 * np.pi)
+    fs = FieldState(grid)
+    fs.B[0] = 0.3
+    fs.B[2] = 0.5
+    rng = np.random.default_rng(17)
+    return rng.random((48, 48, 12, 8, 16)), fs.B
+
+
+@pytest.mark.parametrize("case", ["eulerian_spin", "uniform_b_2v"])
+def test_rotation_matches_masked_loop_bit_for_bit(case):
+    if case == "eulerian_spin":
+        f, fs = eulerian_spin_case(1431)
+        values, B = f.values, fs.B
+    else:
+        values, B = uniform_b_2v_case()
+    got = _rotate_sphere(values, QUAD, B, PARAMS, 0.02)
+    ref = masked_rotate_sphere(values, SphereQuadrature(8, 16), B, PARAMS,
+                               0.02)
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("seed", [1431, 1436])
 def test_steps_match_fresh_quadrature_every_step(seed):
     f, fs = eulerian_spin_case(seed)
