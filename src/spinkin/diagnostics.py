@@ -40,6 +40,8 @@ class DiagnosticsSeries:
     def read_csv(cls, path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        if not rows:
+            raise ValueError(f"{path}: empty CSV, no header row")
         header, body = rows[0], rows[1:]
         if header[0] != "time":
             raise ValueError("first CSV column must be 'time'")
@@ -98,9 +100,9 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
     the RMS fit residual relative to the oscillation amplitude.  The fit
     uses the model's analytic Jacobian and runs to xtol = ftol = 1e-12, so
     the numbers it reports are the least-squares minimum, not where the
-    iteration stopped.  A series without a dominant peak (peak power < 10x
-    the median) or with fewer than 8 resolved periods is flagged
-    inconclusive.
+    iteration stopped.  A series of fewer than 2 samples, without a
+    dominant peak (peak power < 10x the median) or with fewer than 8
+    resolved periods is flagged inconclusive.
     """
     # scipy.optimize is most of the import time of the package; only the
     # fit needs it
@@ -110,6 +112,8 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
         raise KeyError(f"no column '{column}' in series")
     t = series.time
     y = series.columns[column]
+    if len(t) < 2:
+        return FrequencyFit(False, reason=f"{len(t)} samples; a fit needs at least 2")
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
         raise ValueError("frequency fitting requires uniform sampling")

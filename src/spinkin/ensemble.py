@@ -68,18 +68,17 @@ class FluidMoments:
 
 
 def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
-                     params: PlasmaParams,
-                     floor_rel=MEMBER_DENSITY_FLOOR_REL) -> FluidMoments:
+                     params: PlasmaParams) -> FluidMoments:
     """Assemble all fluid moments of the ensemble on the grid.
 
     Averages are density weighted, <X> = sum_a P_a n_a X_a / n.  Ratios
-    that need 1/n_a are evaluated with n_a clamped to floor_rel * max n_a;
-    the returned masked_fraction reports how many points were clamped.
+    that need 1/n_a clamp n_a to MEMBER_DENSITY_FLOOR_REL * max n_a; the
+    returned masked_fraction reports how many points were clamped.
     """
     grid = ens.grid
     if pot.grid != grid:
         raise ValueError("potentials and ensemble must share one grid")
-    A_x = pot.A_or_zero[0]
+    A_x = pot.A[0]
     P = ens.probabilities
     fields = [spinor_moments(m, A_x, params) for m in ens.members]
 
@@ -87,7 +86,8 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     v = sum(p * f[1] for p, f in zip(P, fields)) / n
     S = sum(p * f[2] for p, f in zip(P, fields)) / n
 
-    masked = sum(int(np.sum(f[0] < floor_rel * f[0].max())) for f in fields)
+    masked = sum(int(np.sum(f[0] < MEMBER_DENSITY_FLOOR_REL * f[0].max()))
+                 for f in fields)
     masked_fraction = masked / (len(fields) * grid.n)
 
     dS = grid.derivative(S)
@@ -97,7 +97,7 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     mean_grad_dev = np.zeros((3, grid.n))   # <d S_dev / dx>, density weighted
     omega3 = np.zeros((3, grid.n))
     for p, (n_a, nv_a, ns_a) in zip(P, fields):
-        safe = np.maximum(n_a, floor_rel * n_a.max())
+        safe = np.maximum(n_a, MEMBER_DENSITY_FLOOR_REL * n_a.max())
         v_a = nv_a / safe
         s_a = ns_a / safe
         w_a = v_a - v
@@ -193,7 +193,7 @@ def averaged_equation_residual(times, ensembles, pot: ExternalPotentials,
     e_charge, m = params.charge, params.mass
     E_x = pot.E[0]
     # transverse velocity is purely gauge-kinetic in 1D (no y, z dependence)
-    A = pot.A_or_zero
+    A = pot.A
     v_cross_B_x = (e_charge / m) * (A[1] * pot.B[2] - A[2] * pot.B[1])
 
     out_t, res_c, res_m, res_s = [], [], [], []

@@ -52,10 +52,6 @@ class ExtendedDistribution:
     def dv(self) -> tuple:
         return tuple(a[1] - a[0] for a in self.v_axes)
 
-    def copy(self) -> "ExtendedDistribution":
-        return ExtendedDistribution(self.grid, self.v_axes, self.quad,
-                                    self.values.copy())
-
     def total(self) -> float:
         return float(np.sum(self.values * self.quad.weights)
                      * self.grid.dx * np.prod(self.dv))

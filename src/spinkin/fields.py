@@ -17,32 +17,25 @@ from .params import PlasmaParams
 
 @dataclass
 class FieldState:
-    """Electromagnetic fields and spin sources on the staggered 1D grid.
+    """Electromagnetic fields on the staggered 1D grid.
 
-    E and M are sampled at integer nodes x_i; B_y, B_z at half nodes
+    E is sampled at integer nodes x_i; B_y, B_z at half nodes
     x_i + dx/2 (B_x must be uniform in 1D).
     """
 
     grid: SpatialGrid1D
     E: np.ndarray = None        # type: ignore[assignment]
     B: np.ndarray = None        # type: ignore[assignment]
-    phi: np.ndarray = None      # type: ignore[assignment]
-    A: np.ndarray = None        # type: ignore[assignment]
-    M: np.ndarray = None        # type: ignore[assignment]
-    j_free: np.ndarray = None   # type: ignore[assignment]
-    j_bound: np.ndarray = None  # type: ignore[assignment]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.grid.n
-        for name in ("E", "B", "M", "j_free", "j_bound"):
+        for name in ("E", "B"):
             val = getattr(self, name)
             val = np.zeros((3, n)) if val is None else np.asarray(val, dtype=float)
             if val.shape != (3, n):
                 raise ValueError(f"{name} must have shape (3, {n})")
             setattr(self, name, val)
-        if self.phi is not None:
-            self.phi = np.asarray(self.phi, dtype=float)
         if np.ptp(self.B[0]) > 1e-12:
             raise ValueError("B_x must be uniform in 1D")
 
@@ -65,24 +58,19 @@ class FieldState:
         dB = self.metadata.get("dB_nodes")
         return self.grid.derivative(self.b_nodes()) if dB is None else dB
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.grid, self.E.copy(), self.B.copy(),
-                          None if self.phi is None else self.phi.copy(),
-                          None if self.A is None else self.A.copy(),
-                          self.M.copy(), self.j_free.copy(), self.j_bound.copy(),
-                          dict(self.metadata))
-
 
 def solve_poisson(rho_c, grid: SpatialGrid1D, params: PlasmaParams):
     """Spectral solve of d^2 phi / dx^2 = -rho_c / epsilon0, zero-mean phi.
 
     The periodic domain requires a neutral source; net charge above
-    1e-10 relative is rejected.
+    1e-10 relative, and a non-finite source, are rejected.
     """
     rho_c = np.asarray(rho_c, dtype=float)
     net = np.mean(rho_c)
-    scale = np.max(np.abs(rho_c)) if np.max(np.abs(rho_c)) > 0 else 1.0
-    if abs(net) > 1e-10 * scale:
+    scale = np.max(np.abs(rho_c))
+    if not np.isfinite(scale):
+        raise ValueError(f"source is not finite: max |rho_c| = {scale}")
+    if abs(net) > 1e-10 * (scale if scale > 0 else 1.0):
         raise ValueError(f"source is not neutral: net charge density {net:.3e}")
     k = grid.k
     rho_k = np.fft.fft(rho_c - net)
@@ -114,8 +102,7 @@ def bound_current(M, grid: SpatialGrid1D, scheme="spectral"):
     return np.array([np.zeros(grid.n), -ddx(M[2]), ddx(M[1])])
 
 
-def maxwell_step(fs: FieldState, j_free, M, params: PlasmaParams, dt,
-                 curl_scheme="spectral") -> FieldState:
+def maxwell_step(fs: FieldState, j_free, M, params: PlasmaParams, dt) -> FieldState:
     """One leapfrog step of Faraday + Ampere with bound current curl(M).
 
     j_free and M are the sources at the midpoint of the step (second
@@ -127,13 +114,10 @@ def maxwell_step(fs: FieldState, j_free, M, params: PlasmaParams, dt,
     if nu > 1.0:
         raise ValueError(f"CFL violation: c dt/dx = {nu:.3f} > 1")
     dx = grid.dx
-    out = fs.copy()
-    out.j_free = np.asarray(j_free, dtype=float).copy()
-    out.M = np.asarray(M, dtype=float).copy()
-    out.j_bound = bound_current(out.M, grid, curl_scheme)
-    j_total = out.j_free + out.j_bound
+    j_total = (np.asarray(j_free, dtype=float)
+               + bound_current(np.asarray(M, dtype=float), grid))
 
-    E, B = out.E, out.B
+    E, B = fs.E.copy(), fs.B.copy()
     # Faraday half step: dB_y/dt = +dE_z/dx, dB_z/dt = -dE_y/dx (half nodes)
     B[1] += dt / 2 * _ddx_int_to_half(E[2], dx)
     B[2] -= dt / 2 * _ddx_int_to_half(E[1], dx)
@@ -145,7 +129,7 @@ def maxwell_step(fs: FieldState, j_free, M, params: PlasmaParams, dt,
     # Faraday second half step
     B[1] += dt / 2 * _ddx_int_to_half(E[2], dx)
     B[2] -= dt / 2 * _ddx_int_to_half(E[1], dx)
-    return out
+    return FieldState(grid, E, B, dict(fs.metadata))
 
 
 def field_energy(fs: FieldState, params: PlasmaParams) -> float:

@@ -68,9 +68,9 @@ def bohm_force(grid: SpatialGrid1D, n, params: PlasmaParams):
     return (params.hbar**2 / (2 * params.mass**2)) * grid.derivative(quantum_potential_over)
 
 
-def _check_floor(grid, n, floor_rel):
-    floor = floor_rel * n.max()
-    if n.min() <= floor:
+def _check_floor(grid, n, n_floor_rel):
+    floor = n_floor_rel * n.max()
+    if not n.min() > floor:         # a NaN density fails too
         i = int(np.argmin(n))
         raise DensityFloorError(grid.x[i], n.min(), floor)
 

@@ -91,7 +91,7 @@ def gauge_transform_state(psi: SpinorField, pot: ExternalPotentials,
     lam, dlam = g.sample(params)
     phase = np.exp(-1j * params.charge * lam / params.hbar)
     psi_new = SpinorField(psi.grid, psi.psi * phase)
-    A = pot.A_or_zero.copy()
+    A = pot.A.copy()
     A[0] = A[0] + dlam
     pot_new = ExternalPotentials(pot.grid, phi=pot.phi, A=A, B=pot.B,
                                  E=pot.E, coulomb_gauge=False)

@@ -52,7 +52,8 @@ class ExternalPotentials:
 
     Either supply A (3, N) and let B follow from the 1D curl
     (B_y = -dA_z/dx, B_z = dA_y/dx, B_x uniform), or supply B directly for
-    external-field tests.  In Coulomb-gauge mode A_x must be uniform.
+    external-field tests; an absent A is zeros (and so is B if also absent).
+    In Coulomb-gauge mode A_x must be uniform.
 
     phi, A, B and E are read-only: every assignment, in the constructor or
     later, freezes the array (a caller's writeable array is copied first)
@@ -84,25 +85,22 @@ class ExternalPotentials:
         n = self.grid.n
         if self.phi is None:
             self.phi = np.zeros(n)
-        if self.A is not None:
-            self.A = np.atleast_2d(self.A)
-            if self.A.shape != (3, n):
-                raise ValueError("A must have shape (3, N)")
-            if self.coulomb_gauge and np.ptp(self.A[0]) > 1e-12:
-                raise ValueError("Coulomb gauge requires uniform A_x in 1D")
+        if self.A is None:
+            self.A = np.zeros((3, n))
             if self.B is None:
-                self.B = [np.zeros(n), -self.grid.derivative(self.A[2]),
-                          self.grid.derivative(self.A[1])]
+                self.B = np.zeros((3, n))
+        self.A = np.atleast_2d(self.A)
+        if self.A.shape != (3, n):
+            raise ValueError("A must have shape (3, N)")
+        if self.coulomb_gauge and np.ptp(self.A[0]) > 1e-12:
+            raise ValueError("Coulomb gauge requires uniform A_x in 1D")
         if self.B is None:
-            self.B = np.zeros((3, n))
+            self.B = [np.zeros(n), -self.grid.derivative(self.A[2]),
+                      self.grid.derivative(self.A[1])]
         if self.B.shape != (3, n):
             raise ValueError("B must have shape (3, N)")
         if self.E is None:
             self.E = [-self.grid.derivative(self.phi), np.zeros(n), np.zeros(n)]
-
-    @property
-    def A_or_zero(self) -> np.ndarray:
-        return self.A if self.A is not None else np.zeros((3, self.grid.n))
 
     def step_factors(self, params: PlasmaParams, dt: float):
         """(half, kin): the Strang factors of `step_pauli` for (params, dt).
@@ -181,7 +179,7 @@ def _build_step_factors(pot, params, dt):
     if not dt > 0:
         raise ValueError("dt must be positive")
     hbar, m, e = params.hbar, params.mass, params.charge
-    A = pot.A_or_zero
+    A = pot.A
     _require_uniform_ax(A, "step_pauli")
     k = pot.grid.k
     kin_phase_max = (hbar * np.abs(k).max() + e * np.abs(A[0]).max()) ** 2 / (2 * m) * dt / hbar
@@ -248,7 +246,7 @@ def spinor_observables(state: SpinorField, pot: ExternalPotentials,
     s = (hbar/2) psi^dag sigma psi / n.  Points with n below
     DENSITY_MASK_REL * max(n) are returned as NaN in v and s.
     """
-    n, nv, ns = spinor_moments(state, pot.A_or_zero[0], params)
+    n, nv, ns = spinor_moments(state, pot.A[0], params)
     mask = n < DENSITY_MASK_REL * n.max()
     safe_n = np.where(mask, 1.0, n)
     v = np.where(mask, np.nan, nv / safe_n)
@@ -260,7 +258,7 @@ def energy(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams) ->
     """Expectation of H, spectral kinetic part; A_x must be uniform."""
     grid = state.grid
     hbar, m, e = params.hbar, params.mass, params.charge
-    A = pot.A_or_zero
+    A = pot.A
     _require_uniform_ax(A, "energy")
     psi_k = np.fft.fft(state.psi, axis=1)
     kin_op = (hbar * grid.k + e * A[0, 0]) ** 2 / (2 * m)

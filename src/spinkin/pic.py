@@ -26,11 +26,11 @@ from .rotation import rodrigues_rotate
 
 
 def _check_unit_spins(s_hat):
-    """max | |s_hat| - 1 | over the particles; raises beyond 1e-12."""
+    """max | |s_hat| - 1 | over the particles; raises beyond 1e-12 or on NaN."""
     mag = np.sqrt(np.einsum("pa,pa->p", s_hat, s_hat))
     dev = float(np.max(np.abs(mag - 1.0)))
-    if dev > 1e-12:
-        raise ValueError("spin directions must be unit vectors")
+    if not dev <= 1e-12:
+        raise ValueError(f"spin directions must be unit vectors: dev {dev:.3g}")
     return dev
 
 
@@ -254,8 +254,7 @@ def deposit_charge(ens: ParticleEnsemble, params: PlasmaParams):
     return _accumulate(ens, ens.w) * (-params.charge / ens.grid.dx)
 
 
-def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams,
-                    curl_scheme="spectral"):
+def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams):
     """Charge density, free current, magnetization and bound current.
 
     rho_c = -e sum w S(x - x_i); j_free carries the particle velocities;
@@ -270,7 +269,7 @@ def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams,
                        for a in range(3)]) * (-params.charge / grid.dx)
     M = np.array([_accumulate(ens, ens.w * ens.s_hat[:, a])
                   for a in range(3)]) * (-3 * params.mu_B / grid.dx)
-    return rho_c, j_free, M, bound_current(M, grid, curl_scheme)
+    return rho_c, j_free, M, bound_current(M, grid)
 
 
 def fibonacci_sphere(n) -> np.ndarray:

@@ -111,9 +111,7 @@ def _plasma_fields(state):
     # charge-only deposit (the full source deposit is done for snapshots)
     rho_c = deposit_charge(ens, params)
     rho_c -= np.mean(rho_c)                 # neutralizing ion background
-    phi, E_x = solve_poisson(rho_c, ens.grid, params)
-    state["fs"].E[0] = E_x
-    state["fs"].phi = phi
+    state["fs"].E[0] = solve_poisson(rho_c, ens.grid, params)[1]
 
 
 def _plasma_step(state, dt):

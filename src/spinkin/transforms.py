@@ -69,12 +69,12 @@ class DensityMatrixSpin:
         if self.rho.shape != (2, 2):
             raise ValueError("spin density matrix must be 2x2")
 
-    def validate(self, herm_tol=1e-14, trace_tol=1e-14, psd_tol=1e-12):
-        if np.max(np.abs(self.rho - self.rho.conj().T)) >= herm_tol:
+    def validate(self):
+        if np.max(np.abs(self.rho - self.rho.conj().T)) >= 1e-14:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) >= trace_tol:
+        if abs(np.trace(self.rho).real - 1.0) >= 1e-14:
             raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(self.rho).min() < -psd_tol:
+        if np.linalg.eigvalsh(self.rho).min() < -1e-12:
             raise ValueError("density matrix is not positive semidefinite")
         return self
 
@@ -291,20 +291,20 @@ def spin_q_transform(rho, quad: SphereQuadrature) -> SpinDistribution:
     return SpinDistribution(quad=quad, values=values.real)
 
 
-def spin_moments_and_reconstruct(f: SpinDistribution, psd_tol=1e-8):
+def spin_moments_and_reconstruct(f: SpinDistribution):
     """Zeroth and (factor-3) first moments, plus the reconstructed matrix.
 
     scalar = integral f dOmega, vector = 3 * integral s f dOmega,
-    rho = (scalar * I + vector . sigma) / 2.  The spin transform is
-    informationally complete for 2x2 matrices, so this inverts
-    spin_q_transform exactly on valid inputs.
+    rho = (scalar * I + vector . sigma) / 2, inverting spin_q_transform
+    exactly on valid inputs (the transform is informationally complete for
+    2x2 matrices); an eigenvalue of rho below -1e-8 rejects the input.
     """
     quad = f.quad
     scalar = float(quad.integrate(f.values))
     vector = 3.0 * np.einsum("tp,tpi,tp->i", quad.weights, quad.s_hat, f.values)
     rho = 0.5 * (scalar * IDENTITY2 + np.einsum("i,ijk->jk", vector, SIGMA))
     eigmin = np.linalg.eigvalsh(rho).min()
-    if eigmin < -psd_tol:
+    if eigmin < -1e-8:
         raise ValueError(
             f"reconstructed density matrix has eigenvalue {eigmin:.3e}; "
             "input distribution is not a valid spin Q-function")

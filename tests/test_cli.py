@@ -92,6 +92,18 @@ class TestFit:
         assert code == 3
         assert "inconclusive" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, code, stream, message", [
+        ("time,y\n0.0,1.0\n", 3, "out", "1 samples"),
+        ("time,y\n", 3, "out", "0 samples"),
+        ("", 2, "err", "empty CSV"),
+    ])
+    def test_aborted_run_csv(self, tmp_path, capsys, text, code, stream, message):
+        # a run that aborts at step 0 or 1 leaves such a file
+        path = tmp_path / "diagnostics.csv"
+        path.write_text(text)
+        assert main(["fit", "--input", str(path), "--column", "y"]) == code
+        assert message in getattr(capsys.readouterr(), stream)
+
     def test_missing_column_is_an_error(self, tmp_path, capsys):
         t = np.arange(0, 20, 0.01)
         path = self.make_csv(tmp_path, np.cos(t))

@@ -46,6 +46,14 @@ class TestPoisson:
         with pytest.raises(ValueError):
             solve_poisson(np.full(grid.n, 0.1), grid, PARAMS)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_source_rejected(self, bad):
+        grid = SpatialGrid1D(64, 10.0)
+        rho_c = np.cos(2 * np.pi * grid.x / grid.length)
+        rho_c[5] = bad
+        with pytest.raises(ValueError, match=f"not finite.*{bad}"):
+            solve_poisson(rho_c, grid, PARAMS)
+
 
 class TestMaxwellStep:
     def test_static_uniform_fields_unchanged(self):

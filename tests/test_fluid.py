@@ -208,6 +208,15 @@ class TestStepFluid:
             step_fluid(st, None, PARAMS, 0.01, n_floor_rel=1e-3)
         assert hasattr(err.value, "x_where")
 
+    def test_nan_density_rejected(self):
+        grid = SpatialGrid1D(64, 10.0)
+        n = np.ones(grid.n)
+        n[7] = np.nan
+        st = FluidState(grid, n, np.zeros(grid.n))
+        with pytest.raises(DensityFloorError, match="density nan") as err:
+            step_fluid(st, None, PARAMS, 0.01)
+        assert err.value.x_where == grid.x[7]
+
 
 class TestSpinDensity:
     def test_uniform_precession_rate(self):

@@ -63,7 +63,7 @@ class TestGaugeTransformState:
         assert np.max(np.abs(psi2.density() - psi.density())) < 1e-13
         assert abs(momentum_expectation(psi2, PARAMS)
                    - momentum_expectation(psi, PARAMS)) < 1e-13
-        assert np.max(np.abs(pot2.A_or_zero - pot.A_or_zero)) < 1e-14
+        assert np.max(np.abs(pot2.A - pot.A)) < 1e-14
 
     def test_linear_gauge_shifts_canonical_momentum(self):
         grid, psi, pot = self.setup_pair()
@@ -91,7 +91,7 @@ class TestGaugeTransformState:
         psi2, pot2 = gauge_transform_state(psi, pot, g, PARAMS)
         psi3, pot3 = gauge_transform_state(psi2, pot2, ginv, PARAMS)
         assert np.max(np.abs(psi3.psi - psi.psi)) < 1e-14
-        assert np.max(np.abs(pot3.A_or_zero - pot.A_or_zero)) < 1e-14
+        assert np.max(np.abs(pot3.A - pot.A)) < 1e-14
 
     def test_unsupported_family_rejected(self):
         grid = SpatialGrid1D(32, 10.0)

@@ -1,7 +1,7 @@
 """Package layout rules: no module reaches into another's private names,
-the numeric modules load without the symbolic algebra stack, the Eulerian
-solver loads without scipy.special and the command line without
-scipy.optimize."""
+every defaulted parameter is passed by some call, the numeric modules
+load without the symbolic algebra stack, the Eulerian solver loads
+without scipy.special and the command line without scipy.optimize."""
 
 import ast
 import os
@@ -12,6 +12,7 @@ from pathlib import Path
 import spinkin
 
 PACKAGE = Path(spinkin.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_no_private_cross_module_imports():
@@ -26,6 +27,55 @@ def test_no_private_cross_module_imports():
                             f"{path.name}: from {'.' * node.level}"
                             f"{node.module or ''} import {alias.name}")
     assert not offenders, offenders
+
+
+def _defaulted_parameters(body, in_class=False):
+    """(function, parameter, positional index or None) for every parameter
+    with a default, `self`/`cls` not counted for methods."""
+    out = []
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            out += _defaulted_parameters(node.body, in_class=True)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in node.decorator_list):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            out += [(node.name, a.arg, i)
+                    for i, a in enumerate(positional[first:], start=first)]
+            out += [(node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+            out += _defaulted_parameters(node.body)
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # calls are matched by the called name alone; a *args call counts for
+    # every position and a **kwargs call for every keyword
+    keywords, positions = {}, {}
+    callers = [p for top in ("src", "tests", "demos", "bench")
+               for p in sorted((REPO / top).rglob("*.py"))]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positions[name] = max(positions.get(name, 0), n_pos)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn, param, index in _defaulted_parameters(tree.body):
+            passed = keywords.get(fn, set())
+            if not (param in passed or None in passed
+                    or index is not None and positions.get(fn, 0) > index):
+                unset.append(f"{path.name}: {fn}.{param}")
+    assert not unset, f"defaulted parameters no call passes: {unset}"
 
 
 def test_numeric_modules_do_not_load_sympy():

@@ -140,7 +140,7 @@ class TestStepPauli:
 
 def reference_half_step(psi, pot, params, dt_half):
     """Uncached reference: the potential half step, every factor rebuilt."""
-    A = pot.A_or_zero
+    A = pot.A
     scalar = (-params.charge * pot.phi
               + params.charge**2 * (A[1] ** 2 + A[2] ** 2) / (2 * params.mass))
     b = params.mu_B * pot.B
@@ -160,7 +160,7 @@ def reference_step(psi, pot, params, dt):
     """Uncached reference: one Strang step, every factor rebuilt."""
     hbar, m, e = params.hbar, params.mass, params.charge
     half = reference_half_step(psi, pot, params, dt / 2)
-    kin = np.exp(-1j * (hbar * pot.grid.k + e * pot.A_or_zero[0, 0]) ** 2
+    kin = np.exp(-1j * (hbar * pot.grid.k + e * pot.A[0, 0]) ** 2
                  / (2 * m * hbar) * dt)
     psi_k = np.fft.fft(half, axis=1) * kin[None, :]
     return reference_half_step(np.fft.ifft(psi_k, axis=1), pot, params, dt / 2)

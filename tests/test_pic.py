@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spinkin import pic
 from spinkin.config import config_from_dict
-from spinkin.fields import FieldState, external_profiles
+from spinkin.fields import FieldState, bound_current, external_profiles
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.pic import (
@@ -143,7 +143,7 @@ class TestDeposit:
         assert np.max(np.abs(M[2] - fitted)) < 1e-12  # deposition is single mode
         assert np.max(np.abs(jb[1] - amp * k * np.sin(k * grid.x))) < 1e-8
         # centered-difference cross-check within its O(dx^2) error
-        _, _, _, jb_c = deposit_sources(ens, PARAMS, curl_scheme="centered")
+        jb_c = bound_current(M, grid, "centered")
         assert np.max(np.abs(jb_c[1] - jb[1])) < abs(amp) * k**3 * grid.dx**2
 
     def test_charge_continuity_convergence(self):
@@ -205,6 +205,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParticleEnsemble(grid, np.array([1.0]), np.zeros((1, 3)),
                              np.array([[0.0, 0.0, 0.5]]), np.array([1.0]))
+
+    def test_nan_spin_rejected(self):
+        grid = SpatialGrid1D(32, 10.0)
+        s_hat = np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unit vectors.*nan"):
+            ParticleEnsemble(grid, np.array([1.0, 2.0]), np.zeros((2, 3)),
+                             s_hat, np.ones(2))
 
     def test_nonpositive_weight_rejected(self):
         grid = SpatialGrid1D(32, 10.0)
