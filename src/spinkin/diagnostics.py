@@ -60,8 +60,8 @@ class DiagnosticsRecorder:
     """
 
     names: tuple
-    _time: list = field(default_factory=list)
-    _rows: list = field(default_factory=list)
+    _time: list = field(default_factory=list, init=False)
+    _rows: list = field(default_factory=list, init=False)
 
     def add(self, t, **values):
         if set(values) != set(self.names):
@@ -92,22 +92,65 @@ class FrequencyFit:
     reason: str = ""
 
 
+# Levenberg-Marquardt limits of fit_frequency: at most FIT_MAX_STEPS trial
+# steps; it stops once a step moves the scaled parameters, or an accepted
+# step lowers the sum of squares, by at most FIT_TOL relative
+FIT_MAX_STEPS = 1000
+FIT_TOL = 1e-12
+
+
+def _levenberg_marquardt(residual, jacobian, p):
+    """Least-squares minimum of |residual(p)|^2 from the start point p.
+
+    Marquardt (1963) damping of the Gauss-Newton step, scaled as in
+    MINPACK's lmder (More 1978): the damping matrix is the running maximum
+    of diag(J^T J).  Returns None when FIT_MAX_STEPS trial steps do not
+    meet the FIT_TOL stopping rule.
+    """
+    r = residual(p)
+    cost = r @ r
+    jac = jacobian(p)
+    scale = np.zeros(len(p))
+    lam = 1e-3
+    for _ in range(FIT_MAX_STEPS):
+        normal = jac.T @ jac
+        scale = np.maximum(scale, np.diag(normal))
+        step = np.linalg.solve(normal + lam * np.diag(scale), -(jac.T @ r))
+        trial = p + step
+        r_trial = residual(trial)
+        cost_trial = r_trial @ r_trial
+        root = np.sqrt(scale)
+        small_step = (np.linalg.norm(root * step)
+                      <= FIT_TOL * np.linalg.norm(root * p))
+        if cost_trial < cost:
+            small_drop = cost - cost_trial <= FIT_TOL * cost
+            p, r, cost = trial, r_trial, cost_trial
+            if small_drop or small_step:
+                return p
+            jac = jacobian(p)
+            lam /= 10
+        elif small_step:
+            return p
+        else:
+            lam *= 10
+    return None
+
+
 def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
     """Frequency and damping of one column via spectral peak + local fit.
 
-    The dominant FFT peak seeds a nonlinear fit of
-    a * exp(-gamma t) * cos(omega t + phase) + offset; the uncertainty is
-    the RMS fit residual relative to the oscillation amplitude.  The fit
-    uses the model's analytic Jacobian and runs to xtol = ftol = 1e-12, so
-    the numbers it reports are the least-squares minimum, not where the
-    iteration stopped.  A series of fewer than 2 samples, without a
-    dominant peak (peak power < 10x the median) or with fewer than 8
-    resolved periods is flagged inconclusive.
+    The dominant FFT peak seeds a Levenberg-Marquardt fit (see
+    `_levenberg_marquardt`) of a * exp(-gamma t) * cos(omega t + phase)
+    + offset with the model's analytic Jacobian, from
+    (a0, 0, omega0, 0, mean y).  It stops when a step changes the scaled
+    parameters or the sum of squares by at most FIT_TOL = 1e-12 relative,
+    so the numbers it reports are the least-squares minimum, not where
+    the iteration stopped; the uncertainty is the RMS fit residual
+    relative to the oscillation amplitude.  A series of fewer than 2
+    samples, without a dominant peak (peak power < 10x the median), with
+    fewer than 8 resolved periods or whose fit does not stop within
+    FIT_MAX_STEPS trial steps is flagged inconclusive.
     """
-    # scipy.optimize is most of the import time of the package; only the
-    # fit needs it
-    from scipy.optimize import curve_fit
-
     if column not in series.columns:
         raise KeyError(f"no column '{column}' in series")
     t = series.time
@@ -130,13 +173,17 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
     if omega0 * (t[-1] - t[0]) < 8 * 2 * np.pi:
         return FrequencyFit(False, reason="fewer than 8 oscillation periods")
 
-    def model(tt, a, gamma, omega, phase, offset):
+    tt = t - t[0]
+
+    def model(p):
+        a, gamma, omega, phase, offset = p
         return a * np.exp(-gamma * tt) * np.cos(omega * tt + phase) + offset
 
-    def model_jac(tt, a, gamma, omega, phase, offset):
+    def model_jac(p):
         # a forward difference cannot resolve the derivative in gamma or
         # offset near 0 (its step scales with the parameter), so the fit
         # would stall short of the minimum
+        a, gamma, omega, phase, _ = p
         decay = np.exp(-gamma * tt)
         cos, sin = np.cos(omega * tt + phase), np.sin(omega * tt + phase)
         return np.column_stack([decay * cos, -tt * a * decay * cos,
@@ -144,15 +191,12 @@ def fit_frequency(series: DiagnosticsSeries, column) -> FrequencyFit:
                                 np.ones_like(tt)])
 
     a0 = np.sqrt(2 * np.mean(yc**2))
-    try:
-        popt, _ = curve_fit(
-            model, t - t[0], y,
-            p0=[a0, 0.0, omega0, 0.0, np.mean(y)], jac=model_jac,
-            maxfev=20000, xtol=1e-12, ftol=1e-12)
-    except RuntimeError:
+    popt = _levenberg_marquardt(lambda p: model(p) - y, model_jac,
+                                np.array([a0, 0.0, omega0, 0.0, np.mean(y)]))
+    if popt is None:
         return FrequencyFit(False, reason="nonlinear fit did not converge")
     a, gamma, omega, _, _ = popt
-    resid = y - model(t - t[0], *popt)
+    resid = y - model(popt)
     unc = float(np.sqrt(np.mean(resid**2)) / max(abs(a), 1e-300))
     return FrequencyFit(True, omega=abs(float(omega)), gamma=float(gamma),
                         uncertainty=unc)

@@ -60,10 +60,12 @@ class FieldState:
 
 
 def solve_poisson(rho_c, grid: SpatialGrid1D, params: PlasmaParams):
-    """Spectral solve of d^2 phi / dx^2 = -rho_c / epsilon0, zero-mean phi.
+    """E_x = -d phi/dx of the spectral solve d^2 phi / dx^2 = -rho_c / epsilon0.
 
-    The periodic domain requires a neutral source; net charge above
-    1e-10 relative, and a non-finite source, are rejected.
+    E_k = -i k phi_k = -i rho_k / (epsilon0 k) from one forward and one
+    inverse FFT; the mean and the Nyquist mode of E are zero.  The
+    periodic domain requires a neutral source; net charge above 1e-10
+    relative, and a non-finite source, are rejected.
     """
     rho_c = np.asarray(rho_c, dtype=float)
     net = np.mean(rho_c)
@@ -74,10 +76,10 @@ def solve_poisson(rho_c, grid: SpatialGrid1D, params: PlasmaParams):
         raise ValueError(f"source is not neutral: net charge density {net:.3e}")
     k = grid.k
     rho_k = np.fft.fft(rho_c - net)
-    phi_k = np.zeros_like(rho_k)
-    phi_k[1:] = rho_k[1:] / (params.epsilon0 * k[1:] ** 2)
-    phi = np.fft.ifft(phi_k).real
-    return phi, -grid.derivative(phi)
+    E_k = np.zeros_like(rho_k)
+    E_k[1:] = -1j * rho_k[1:] / (params.epsilon0 * k[1:])
+    E_k[grid.n // 2] = 0.0
+    return np.fft.ifft(E_k).real
 
 
 def _ddx_half_to_int(u, dx):

@@ -40,7 +40,7 @@ class GaugeTransformSpec:
     grid: SpatialGrid1D
     family: str
     parameters: dict
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.family not in GAUGE_FAMILIES:

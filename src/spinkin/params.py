@@ -2,19 +2,19 @@
 
 The toolkit works in units with e = m_e = epsilon_0 = 1 by default; hbar is
 kept as a free dimensionless knob so that quantum corrections can be dialed
-up or down.  The Bohr magneton is always derived, never stored.
+up or down.  The Bohr magneton and mu0 are always derived, never stored.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class PlasmaParams:
     """Mass, charge and field constants shared by every solver.
 
-    mu_B is a derived property (e*hbar/2m) and cannot get out of sync with
-    the stored fields.  mu0 defaults to 1/c**2 so that c, epsilon0, mu0 stay
-    mutually consistent.
+    mu_B (e*hbar/2m) and mu0 (1/(epsilon0 c^2)) are derived properties, so
+    they cannot get out of sync with the stored fields and c^2 epsilon0
+    mu0 = 1 always holds.
     """
 
     mass: float = 1.0
@@ -22,12 +22,9 @@ class PlasmaParams:
     hbar: float = 1.0
     epsilon0: float = 1.0
     c: float = 1.0
-    mu0: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.mu0 is None:
-            object.__setattr__(self, "mu0", 1.0 / (self.c * self.c * self.epsilon0))
-        for name in ("mass", "charge", "hbar", "epsilon0", "c", "mu0"):
+        for name in ("mass", "charge", "hbar", "epsilon0", "c"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
@@ -35,3 +32,7 @@ class PlasmaParams:
     @property
     def mu_B(self) -> float:
         return self.charge * self.hbar / (2.0 * self.mass)
+
+    @property
+    def mu0(self) -> float:
+        return 1.0 / (self.c * self.c * self.epsilon0)

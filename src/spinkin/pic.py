@@ -291,8 +291,6 @@ def load_particles(grid: SpatialGrid1D, n_particles, density_amplitude=0.0,
     spin spiral; quiet=False draws pseudo-random samples from a counter
     based generator so runs are reproducible per seed.
     """
-    from scipy.special import erfinv
-
     rng = np.random.Generator(np.random.Philox(seed))
     L = grid.length
     k = 2 * np.pi * density_mode / L
@@ -312,6 +310,10 @@ def load_particles(grid: SpatialGrid1D, n_particles, density_amplitude=0.0,
             x -= f * L / (1 + density_amplitude * np.cos(k * x))
     v = np.zeros((n_particles, 3))
     if v_thermal > 0:
+        # scipy.special adds ~25 MB to a run's memory; only a thermal
+        # load needs it
+        from scipy.special import erfinv
+
         v[:, 0] = drift + v_thermal * np.sqrt(2) * erfinv(2 * u_v - 1)
     else:
         v[:, 0] = drift

@@ -111,7 +111,7 @@ def _plasma_fields(state):
     # charge-only deposit (the full source deposit is done for snapshots)
     rho_c = deposit_charge(ens, params)
     rho_c -= np.mean(rho_c)                 # neutralizing ion background
-    state["fs"].E[0] = solve_poisson(rho_c, ens.grid, params)[1]
+    state["fs"].E[0] = solve_poisson(rho_c, ens.grid, params)
 
 
 def _plasma_step(state, dt):
@@ -154,7 +154,7 @@ def _fluid_diagnose(state):
     # re-zero the mean so rounding residue cannot trip the neutrality
     # check when the density perturbation passes through zero
     rho_c -= np.mean(rho_c)
-    _, E_x = solve_poisson(rho_c, grid, params)
+    E_x = solve_poisson(rho_c, grid, params)
     return dict(kinetic_energy=kinetic,
                 field_energy=0.5 * params.epsilon0 * grid.integrate(E_x**2),
                 total_charge=-params.charge * fl.mass(),

@@ -1,15 +1,62 @@
+import os
+
 import numpy as np
 import pytest
 
+from spinkin import diagnostics
+from spinkin.config import config_from_dict
 from spinkin.diagnostics import (
     DiagnosticsRecorder,
     DiagnosticsSeries,
     fit_frequency,
 )
+from spinkin.scenarios import run_case
 
 
 def make_series(t, **cols):
     return DiagnosticsSeries(t, cols)
+
+
+def curve_fit_reference(series, column):
+    """(omega, gamma) from scipy's curve_fit (MINPACK lmder) on the model,
+    analytic Jacobian, start point and tolerances of fit_frequency."""
+    from scipy.optimize import curve_fit
+
+    t, y = series.time - series.time[0], series.columns[column]
+    power = np.abs(np.fft.rfft(y - np.mean(y))) ** 2
+    power[0] = 0.0
+    omega0 = 2 * np.pi * np.fft.rfftfreq(len(t), t[1] - t[0])[np.argmax(power)]
+
+    def model(tt, a, gamma, omega, phase, offset):
+        return a * np.exp(-gamma * tt) * np.cos(omega * tt + phase) + offset
+
+    def model_jac(tt, a, gamma, omega, phase, offset):
+        decay = np.exp(-gamma * tt)
+        cos, sin = np.cos(omega * tt + phase), np.sin(omega * tt + phase)
+        return np.column_stack([decay * cos, -tt * a * decay * cos,
+                                -tt * a * decay * sin, -a * decay * sin,
+                                np.ones_like(tt)])
+
+    a0 = np.sqrt(2 * np.mean((y - np.mean(y)) ** 2))
+    popt, _ = curve_fit(model, t, y, p0=[a0, 0.0, omega0, 0.0, np.mean(y)],
+                        jac=model_jac, maxfev=20000, xtol=1e-12, ftol=1e-12)
+    return abs(popt[2]), popt[1]
+
+
+def fit_case(name, tmp_path):
+    """(series, column) of a named test series."""
+    if name == "cosine":
+        t = np.arange(0, 20, 0.01)
+        return make_series(t, y=np.cos(3.7 * t)), "y"
+    if name == "damped":
+        t = np.arange(0, 40, 0.01)
+        return make_series(t, y=np.exp(-0.05 * t) * np.cos(2 * t)), "y"
+    cfg = config_from_dict(dict(scenario="plasma_osc", n_x=32, n_particles=2000,
+                                length=10.0, dt=0.1, t_end=56.0,
+                                perturbation=1e-3))
+    run_dir, status = run_case(cfg, out_dir=str(tmp_path))
+    assert status == "completed"
+    return DiagnosticsSeries.read_csv(os.path.join(run_dir, "diagnostics.csv")), "E_mode"
 
 
 class TestSeries:
@@ -95,3 +142,20 @@ class TestFitFrequency:
         s = make_series(t, y=np.cos(2 * t))
         with pytest.raises(ValueError, match="uniform"):
             fit_frequency(s, "y")
+
+    @pytest.mark.parametrize("case", ["cosine", "damped", "plasma_osc"])
+    def test_matches_curve_fit(self, case, tmp_path):
+        series, column = fit_case(case, tmp_path)
+        fit = fit_frequency(series, column)
+        omega, gamma = curve_fit_reference(series, column)
+        assert fit.conclusive
+        assert abs(fit.omega - omega) <= 1e-10 * omega
+        assert abs(fit.gamma - gamma) <= 1e-10
+
+    def test_step_cap_gives_inconclusive_fit(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "FIT_MAX_STEPS", 1)
+        series, column = fit_case("cosine", None)
+        fit = fit_frequency(series, column)
+        assert not fit.conclusive
+        assert fit.reason == "nonlinear fit did not converge"
+        assert np.isnan(fit.omega) and np.isnan(fit.gamma)

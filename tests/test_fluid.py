@@ -21,19 +21,21 @@ PARAMS = PlasmaParams(hbar=1.0)
 
 def reference_rhs(st, phi, params):
     """The per-derivative right-hand side: one spectral derivative per term
-    and, for "poisson", a solve_poisson call on the neutralised density."""
+    and, for "poisson", d phi/dx = -E_x from a solve_poisson call on the
+    neutralised density."""
     grid = st.grid
     if isinstance(phi, str):
         rho_c = -params.charge * (st.n - np.mean(st.n))
         rho_c -= np.mean(rho_c)
-        phi = solve_poisson(rho_c, grid, params)[0]
-    phi = np.zeros(grid.n) if phi is None else phi
+        dphi = -solve_poisson(rho_c, grid, params)
+    else:
+        dphi = grid.derivative(np.zeros(grid.n) if phi is None else phi)
     sqrt_n = np.sqrt(st.n)
     bohm = (params.hbar**2 / (2 * params.mass**2)) * grid.derivative(
         grid.derivative(sqrt_n, order=2) / sqrt_n)
     dn = -grid.derivative(st.n * st.u)
     du = (-st.u * grid.derivative(st.u)
-          + (params.charge / params.mass) * grid.derivative(phi) + bohm)
+          + (params.charge / params.mass) * dphi + bohm)
     return dn, du
 
 

@@ -1,7 +1,8 @@
 """Package layout rules: no module reaches into another's private names,
-every defaulted parameter is passed by some call, the numeric modules
-load without the symbolic algebra stack, the Eulerian solver loads
-without scipy.special and the command line without scipy.optimize."""
+every defaulted parameter (dataclass fields included) is passed by some
+call, the numeric modules load without the symbolic algebra stack, the
+Eulerian solver loads without scipy.special, and the command line, a run
+and its frequency fit load neither scipy.optimize nor scipy.special."""
 
 import ast
 import os
@@ -29,12 +30,40 @@ def test_no_private_cross_module_imports():
     assert not offenders, offenders
 
 
+def _is_dataclass(node):
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in (getattr(d, "func", d) for d in node.decorator_list))
+
+
+def _dataclass_fields(node):
+    """(class, field, positional index) for every constructor parameter of
+    a dataclass that has a default; `field(init=False)` is not one."""
+    out, index = [], 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value, has_default = stmt.value, stmt.value is not None
+        if (isinstance(value, ast.Call)
+                and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field"):
+            kw = {k.arg: k.value for k in value.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            has_default = "default" in kw or "default_factory" in kw
+        if has_default:
+            out.append((node.name, stmt.target.id, index))
+        index += 1
+    return out
+
+
 def _defaulted_parameters(body, in_class=False):
     """(function, parameter, positional index or None) for every parameter
-    with a default, `self`/`cls` not counted for methods."""
+    with a default, `self`/`cls` not counted for methods, and for every
+    dataclass field that is a constructor parameter with a default."""
     out = []
     for node in body:
         if isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                out += _dataclass_fields(node)
             out += _defaulted_parameters(node.body, in_class=True)
         elif isinstance(node, ast.FunctionDef):
             args = node.args
@@ -78,7 +107,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not unset, f"defaulted parameters no call passes: {unset}"
 
 
-def test_numeric_modules_do_not_load_sympy():
+def test_numeric_modules_do_not_load_sympy(tmp_path):
     code = ("import sys\n"
             "import spinkin.eulerian, spinkin.sphere\n"
             "assert 'scipy.special' not in sys.modules, "
@@ -89,7 +118,25 @@ def test_numeric_modules_do_not_load_sympy():
             # `spinkin transform` imports gauge on every call, so the
             # symbolic residuals must stay off the transform path
             "import spinkin.gauge, spinkin.transforms, spinkin.scenarios\n"
-            "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+            "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+            # a run and its frequency fit, as in `spinkin check`, load no
+            # scipy submodule
+            "import os\n"
+            "from spinkin.config import config_from_dict\n"
+            "from spinkin.diagnostics import DiagnosticsSeries, fit_frequency\n"
+            "for cfg, column in (\n"
+            "        (dict(scenario='precession', B0=1.0, n_particles=16,\n"
+            "              n_x=16, dt=0.2, t_end=60.0), 'sigma_x'),\n"
+            "        (dict(scenario='plasma_osc', n_x=32, n_particles=2000,\n"
+            "              length=10.0, dt=0.1, t_end=56.0,\n"
+            "              perturbation=1e-3), 'E_mode')):\n"
+            "    run_dir, status = spinkin.scenarios.run_case(\n"
+            f"        config_from_dict(cfg), out_dir={str(tmp_path)!r})\n"
+            "    series = DiagnosticsSeries.read_csv(\n"
+            "        os.path.join(run_dir, 'diagnostics.csv'))\n"
+            "    assert fit_frequency(series, column).conclusive\n"
+            "loaded = {'scipy.optimize', 'scipy.special'} & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported by a run'\n")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [str(PACKAGE.parent)]
