@@ -12,6 +12,18 @@ the next push's gather of every nonzero field row use one evaluation.
 The ensemble likewise keeps its spin statistics (mean s_hat and the
 |s_hat| = 1 deviation the push guard measures) per spin array, so a step
 that does not rotate the spins recomputes neither.
+
+A step allocates, at N scale, only what the successor ensemble keeps: its
+x (drifted into one fresh array and wrapped in place), v, the rotated
+s_hat when B is nonzero, and the (2, N) shape its deposit caches.  The
+kicks are scaled in place in the gather output, `_cic` writes x / dx
+straight into its weight buffer, and the weighted product a deposit
+hands to bincount lives in one (2, N) scratch buffer that each successor
+takes over from its predecessor.  Besides these, the step holds the
+gather's (rows, N) output, which becomes the kicks, and one (rows, N)
+temporary inside gather; a nonzero B adds the rotation's own.  Fresh
+N-sized arrays every step cost more than their arithmetic, because the
+heap pages they free and fetch again come back as minor page faults.
 """
 
 import dataclasses
@@ -24,6 +36,11 @@ from .grid import SpatialGrid1D
 from .params import PlasmaParams
 from .rotation import rodrigues_rotate
 
+# density-CDF inversion in load_particles: step cap, and the step (in ulps
+# of the domain length) below which an iterate counts as converged
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL_ULPS = 4
+
 
 def _check_unit_spins(s_hat):
     """max | |s_hat| - 1 | over the particles; raises beyond 1e-12 or on NaN."""
@@ -35,15 +52,21 @@ def _check_unit_spins(s_hat):
 
 
 def _wrap(x, length):
-    """A copy of x mod length, bit for bit np.mod(x, length).
+    """A copy of x mod length, bit for bit np.mod(x, length) (`_wrap_in_place`)."""
+    return _wrap_in_place(np.array(x, dtype=float), length)
+
+
+def _wrap_in_place(x, length):
+    """x mod length written over the float array x, bit for bit np.mod.
 
     Only the entries outside [0, length) go through np.mod; for the rest
     it is the identity.  -0.0 counts as outside, since np.mod maps it to
     +0.0.  The result lies in [0, length], not [0, length): np.mod
     returns length itself for a negative x within rounding of 0 (-1e-17).
     """
-    x = np.array(x, dtype=float)
-    outside = np.flatnonzero(np.signbit(x) | (x >= length))
+    mask = np.signbit(x)
+    mask |= x >= length
+    outside = np.flatnonzero(mask)
     if outside.size:
         x[outside] = np.mod(x[outside], length)
     return x
@@ -60,7 +83,9 @@ class ParticleEnsemble:
     drops the cached `spin_stats`.
     So neither cache can go stale: move particles or turn spins by
     assigning new arrays (or building a new ensemble), not by editing
-    them in place.
+    them in place.  The deposit's (2, N) scratch buffer passes from an
+    ensemble to the successor the pusher builds, so one ensemble must not
+    be deposited from two threads at once.
     """
 
     grid: SpatialGrid1D
@@ -74,6 +99,8 @@ class ParticleEnsemble:
                                                repr=False, compare=False)
     _spin_dev: float = dataclasses.field(default=None, init=False,
                                          repr=False, compare=False)
+    _scratch: np.ndarray = dataclasses.field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __setattr__(self, name, value):
         if name == "x":
@@ -102,14 +129,21 @@ class ParticleEnsemble:
     def _advanced(self, x, v, s_hat):
         """Successor built by the pusher, skipping the constructor.
 
-        Shapes and weights are those of self (w is shared); x is wrapped
-        on assignment.  The successor owns a new s_hat array (frozen here,
-        not copied), and the |s_hat| = 1 guard re-checks it; an unrotated
-        s_hat is self's, and so are its spin statistics.
+        Shapes and weights are those of self (w is shared).  x and v are
+        the pusher's fresh arrays and become the successor's own: x is
+        wrapped and frozen in place, with no defensive copy.  The deposit
+        scratch buffer moves to the successor.  The successor owns a new
+        s_hat array (frozen here, not copied), and the |s_hat| = 1 guard
+        re-checks it; an unrotated s_hat is self's, and so are its spin
+        statistics.
         """
         out = object.__new__(type(self))
-        out.grid, out.w = self.grid, self.w
-        out.x, out.v = x, v
+        out.grid, out.w, out.v = self.grid, self.w, v
+        x = _wrap_in_place(x, self.grid.length)
+        x.flags.writeable = False
+        object.__setattr__(out, "x", x)
+        out._shape = None
+        out._scratch, self._scratch = self._scratch, None
         if s_hat is self.s_hat:
             out.s_hat = s_hat
             out._spin_mean, out._spin_dev = self._spin_mean, self._spin_dev
@@ -152,13 +186,13 @@ def _cic(x, grid: SpatialGrid1D):
     to node 0, as floor and modulo would give.
     """
     n = grid.n
-    xi = x / grid.dx
     idx = np.empty((2, x.shape[0]), dtype=np.intp)
     wts = np.empty((2, x.shape[0]))
     i0, i1 = idx
+    xi = np.divide(x, grid.dx, out=wts[1])      # x / dx, then its fraction
     np.copyto(i0, xi, casting="unsafe")
-    np.subtract(xi, i0, out=wts[1])
-    np.subtract(1.0, wts[1], out=wts[0])
+    np.subtract(xi, i0, out=xi)
+    np.subtract(1.0, xi, out=wts[0])
     i0[i0 == n] = 0
     np.add(i0, 1, out=i1)
     i1[i1 == n] = 0
@@ -172,8 +206,13 @@ def gather(field, x, grid: SpatialGrid1D, shape=None):
     `ParticleEnsemble.cic()` when the caller already has it.
     """
     idx, wts = _cic(_wrap(x, grid.length), grid) if shape is None else shape
-    return (np.take(field, idx[0], axis=-1) * wts[0]
-            + np.take(field, idx[1], axis=-1) * wts[1])
+    field = np.asarray(field, dtype=float)
+    out = np.take(field, idx[0], axis=-1)
+    out *= wts[0]
+    upper = np.take(field, idx[1], axis=-1)
+    upper *= wts[1]
+    out += upper
+    return out
 
 
 def _spin_force(dB_p, s_hat):
@@ -208,13 +247,19 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
     B_rows = np.flatnonzero(np.any(B_nodes, axis=1))
     dB_rows = np.flatnonzero(np.any(dB, axis=1))
     rows = np.concatenate([fs.E[E_rows], B_nodes[B_rows], dB[dB_rows]])
-    E_g, B_g, dB_g = np.split(gather(rows, ens.x, grid, ens.cic()),
-                              [len(E_rows), len(E_rows) + len(B_rows)])
-    E_kick = (-e / m) * E_g * dt / 2
+    gathered = gather(rows, ens.x, grid, ens.cic())
+    n_E, n_EB = len(E_rows), len(E_rows) + len(B_rows)
+    E_g, B_g, dB_g = gathered[:n_E], gathered[n_E:n_EB], gathered[n_EB:]
+    # the kicks are scaled in place, in the order of (-e / m) * E * dt / 2
+    E_kick = np.multiply(-e / m, E_g, out=E_g)
+    E_kick *= dt
+    E_kick /= 2
     spin_kick = None
     if len(dB_rows):
-        spin_kick = ((-params.mu_B / m) * _spin_force(dB_g, ens.s_hat[:, dB_rows])
-                     * dt / 2)
+        spin_kick = _spin_force(dB_g, ens.s_hat[:, dB_rows])
+        spin_kick *= -params.mu_B / m
+        spin_kick *= dt
+        spin_kick /= 2
 
     def half_kick(v):
         for a, kick in zip(E_rows, E_kick):
@@ -234,24 +279,36 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
         s_new = rodrigues_rotate(ens.s_hat, B_p,
                                  (2 * params.mu_B / params.hbar) * Bmag * dt)
     half_kick(v)
-    return ens._advanced(ens.x + v[:, 0] * dt, v, s_new)
+    x = np.multiply(v[:, 0], dt)
+    x += ens.x
+    return ens._advanced(x, v, s_new)
 
 
 def _accumulate(ens: ParticleEnsemble, values):
-    """sum_i values_i S_j(x_i) per node j, from the cached CIC shape.
+    """sum_i values[r][i] S_j(x_i) per node j, for each of the k rows: (k, n).
 
-    One bincount over the i0 then the i1 contributions (the rows of the
-    (2, N) shape, raveled) adds them per node in the order sequential
-    scatter-adds would.
+    The ensemble's (2, N) scratch buffer holds the weighted product
+    [w0, w1] * values[r] of each row in turn; one bincount over its i0
+    then i1 halves (the rows of the cached (2, N) shape, raveled) adds them
+    per node in the order sequential scatter-adds would.
     """
     idx, wts = ens.cic()
-    return np.bincount(idx.ravel(), (wts * values).ravel(),
-                       minlength=ens.grid.n)
+    flat = idx.ravel()
+    weighted = ens._scratch
+    if weighted is None:
+        weighted = ens._scratch = np.empty_like(wts)
+    out = np.empty((len(values), ens.grid.n))
+    for row, vals in zip(out, values):
+        np.multiply(wts, vals, out=weighted)
+        row[:] = np.bincount(flat, weighted.ravel(), minlength=ens.grid.n)
+    return out
 
 
 def deposit_charge(ens: ParticleEnsemble, params: PlasmaParams):
     """Charge density rho_c = -e sum w S(x - x_i) on the grid nodes."""
-    return _accumulate(ens, ens.w) * (-params.charge / ens.grid.dx)
+    rho = _accumulate(ens, ens.w[None])[0]
+    rho *= -params.charge / ens.grid.dx
+    return rho
 
 
 def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams):
@@ -265,10 +322,10 @@ def deposit_sources(ens: ParticleEnsemble, params: PlasmaParams):
     """
     grid = ens.grid
     rho_c = deposit_charge(ens, params)
-    j_free = np.array([_accumulate(ens, ens.w * ens.v[:, a])
-                       for a in range(3)]) * (-params.charge / grid.dx)
-    M = np.array([_accumulate(ens, ens.w * ens.s_hat[:, a])
-                  for a in range(3)]) * (-3 * params.mu_B / grid.dx)
+    j_free = _accumulate(ens, [ens.w * ens.v[:, a] for a in range(3)])
+    j_free *= -params.charge / grid.dx
+    M = _accumulate(ens, [ens.w * ens.s_hat[:, a] for a in range(3)])
+    M *= -3 * params.mu_B / grid.dx
     return rho_c, j_free, M, bound_current(M, grid)
 
 
@@ -279,6 +336,41 @@ def fibonacci_sphere(n) -> np.ndarray:
     phi = np.pi * (1 + np.sqrt(5)) * i
     r = np.sqrt(np.maximum(1 - z**2, 0.0))
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def _invert_density_cdf(x, u, amp, k, length):
+    """x with F(x) = (x + A sin(kx)/k) / L = u, by bracketed Newton.
+
+    F' = (1 + A cos kx) / L > 0 for |A| < 1, and F(0) = 0 <= u < 1 = F(L),
+    so each root lies in [0, L]; the sign of F - u moves one end of that
+    bracket to the iterate, and a Newton step that would leave the bracket
+    is replaced by its midpoint.  Stops once no iterate moves by more than
+    _NEWTON_TOL_ULPS ulps of L (3 steps on the plasma_osc preset).
+    Raises ValueError for |A| >= 1, where n0 (1 + A cos kx) is negative
+    somewhere (zero at |A| = 1), or if _NEWTON_MAX_ITER steps do not get
+    there.
+    """
+    if not abs(amp) < 1.0:
+        raise ValueError(
+            f"density amplitude {amp} gives a negative density "
+            f"n0 (1 + A cos kx); |A| must be < 1")
+    lo, hi = np.zeros_like(x), np.full_like(x, length)
+    tol = _NEWTON_TOL_ULPS * np.spacing(length)
+    for _ in range(_NEWTON_MAX_ITER):
+        f = (x + amp * np.sin(k * x) / k) / length - u
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        new = x - f * length / (1 + amp * np.cos(k * x))
+        # a step onto an end (a former iterate) would cycle: bisect too
+        outside = ((new <= lo) | (new >= hi)) & (new != x)
+        new = np.where(outside, 0.5 * (lo + hi), new)
+        step = float(np.max(np.abs(new - x), initial=0.0))
+        x = new
+        if step <= tol:
+            return x
+    raise ValueError(
+        f"density inversion did not converge in {_NEWTON_MAX_ITER} Newton "
+        f"steps (last step {step:.3g}, tolerance {tol:.3g})")
 
 
 def load_particles(grid: SpatialGrid1D, n_particles, density_amplitude=0.0,
@@ -302,12 +394,9 @@ def load_particles(grid: SpatialGrid1D, n_particles, density_amplitude=0.0,
         u_x = rng.random(n_particles)
         u_v = rng.random(n_particles)
 
-    # invert the CDF  F(x) = (x + A sin(kx)/k) / L  by Newton iteration
     x = u_x * L
     if density_amplitude != 0.0:
-        for _ in range(50):
-            f = (x + density_amplitude * np.sin(k * x) / k) / L - u_x
-            x -= f * L / (1 + density_amplitude * np.cos(k * x))
+        x = _invert_density_cdf(x, u_x, density_amplitude, k, L)
     v = np.zeros((n_particles, 3))
     if v_thermal > 0:
         # scipy.special adds ~25 MB to a run's memory; only a thermal

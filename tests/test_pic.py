@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -506,3 +508,106 @@ class TestSpinStats:
         ens.s_hat = 2 * new
         with pytest.raises(ValueError, match="unit vectors"):
             ens.spin_stats()
+
+
+def every_branch_fields(grid):
+    """Tilted E and B with a gradient overlay: E, B and dB/dx rows all nonzero."""
+    fs = gradient_fields(grid)
+    fs.E[1] = 0.1
+    fs.E[2] = 0.05 * np.cos(2 * grid.x)
+    fs.B[0] = 0.3
+    fs.B[1] = 0.1
+    return fs
+
+
+class TestNoWriteThrough:
+    @pytest.mark.parametrize("fields", [tilted_fields, gradient_fields,
+                                        every_branch_fields])
+    def test_steps_leave_inputs_unchanged(self, fields):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        fs = fields(grid)
+        ens = random_ensemble(grid, 300, seed=8)
+        idx, wts = ens.cic()
+        inputs = [ens.x, ens.v, ens.s_hat, ens.w, idx, wts, fs.E, fs.B]
+        if "dB_nodes" in fs.metadata:
+            inputs.append(fs.metadata["dB_nodes"])
+        before = [a.tobytes() for a in inputs]
+        sources = [a.tobytes() for a in deposit_sources(ens, PARAMS)]
+        pushed = ens
+        for _ in range(3):
+            pushed = push_particles(pushed, fs, PARAMS, 0.05)
+            deposit_charge(pushed, PARAMS)
+            deposit_sources(pushed, PARAMS)
+        assert [a.tobytes() for a in inputs] == before
+        # the deposit scratch buffer moved on with the successors
+        assert [a.tobytes() for a in deposit_sources(ens, PARAMS)] == sources
+        fresh = ParticleEnsemble(grid, pushed.x, pushed.v, pushed.s_hat, pushed.w)
+        assert ([a.tobytes() for a in deposit_sources(pushed, PARAMS)]
+                == [a.tobytes() for a in deposit_sources(fresh, PARAMS)])
+        assert ens.cic()[0] is idx and ens.cic()[1] is wts
+        for new, old in ((pushed.x, ens.x), (pushed.v, ens.v),
+                         (pushed.s_hat, ens.s_hat)):
+            assert not np.shares_memory(new, old)
+
+    def test_gather_leaves_field_and_positions_unchanged(self):
+        grid = SpatialGrid1D(32, 2 * np.pi)
+        ens = random_ensemble(grid, 100, seed=9)
+        field = tilted_fields(grid).B
+        x = np.array([-1.0, 0.5, 2 * grid.length, 3.0])
+        before = field.tobytes(), x.tobytes(), ens.x.tobytes()
+        gather(field, ens.x, grid, ens.cic())
+        gather(field, x, grid)
+        gather(field[2], x, grid)
+        assert (field.tobytes(), x.tobytes(), ens.x.tobytes()) == before
+
+
+def cdf_residual(ens, amp, mode):
+    L = ens.grid.length
+    k = 2 * np.pi * mode / L
+    u = (np.arange(ens.n_particles) + 0.5) / ens.n_particles
+    return np.max(np.abs((ens.x + amp * np.sin(k * ens.x) / k) / L - u))
+
+
+class TestDensityInversion:
+    @pytest.mark.parametrize("amp", [1e-3, 0.5, 0.99, -0.99])
+    @pytest.mark.parametrize("mode", [1, 3])
+    def test_cdf_residual_within_ulps(self, amp, mode):
+        grid = SpatialGrid1D(64, 10.0)
+        ens = load_particles(grid, 20_000, density_amplitude=amp,
+                             density_mode=mode)
+        assert cdf_residual(ens, amp, mode) <= 4 * np.finfo(float).eps
+
+    def test_density_recovered_near_amplitude_one(self):
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        amp = 0.99
+        ens = load_particles(grid, 64 * 200, density_amplitude=amp)
+        rho, _, _, _ = deposit_sources(ens, PARAMS)
+        n = -rho / PARAMS.charge
+        assert np.max(np.abs(n - (1 + amp * np.cos(grid.x)))) < 1e-2
+
+    def test_plasma_osc_preset_takes_three_steps(self, monkeypatch):
+        grid = SpatialGrid1D(128, 10.0)
+        monkeypatch.setattr(pic, "_NEWTON_MAX_ITER", 3)
+        ens = load_particles(grid, 100_000, density_amplitude=1e-3)
+        assert cdf_residual(ens, 1e-3, 1) <= 4 * np.finfo(float).eps
+        monkeypatch.setattr(pic, "_NEWTON_MAX_ITER", 2)
+        with pytest.raises(ValueError, match="did not converge in 2 Newton"):
+            load_particles(grid, 100_000, density_amplitude=1e-3)
+
+    @pytest.mark.parametrize("amp", [1.0, -1.0, 1.5])
+    def test_amplitude_of_one_or_more_raises(self, amp):
+        with pytest.raises(ValueError, match="negative density"):
+            load_particles(SpatialGrid1D(32, 10.0), 100, density_amplitude=amp)
+
+    def test_run_aborts_at_step_zero_and_names_cause(self, tmp_path):
+        from spinkin.scenarios import run_case
+
+        cfg = config_from_dict(dict(scenario="plasma_osc", n_x=16,
+                                    n_particles=400, dt=0.1, t_end=1.0,
+                                    perturbation=1.5))
+        run_dir, status = run_case(cfg, out_dir=str(tmp_path))
+        assert status.startswith("aborted: density amplitude 1.5 gives a "
+                                 "negative density")
+        assert status.endswith("(step 0)")
+        with open(f"{run_dir}/run.json") as fh:
+            assert json.load(fh)["status"] == status
