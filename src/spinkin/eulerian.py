@@ -244,7 +244,6 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     """
     grid = f.grid
     e, m = params.charge, params.mass
-    B_nodes = fs.b_nodes()
     dB = fs.db_nodes()
 
     two_v = len(f.v_axes) == 2
@@ -262,9 +261,9 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     if two_v:
         vy = f.v_axes[1]
         a_x = a_x - (e / m) * np.einsum(
-            "x,y->xy", B_nodes[2], vy).reshape(grid.n, 1, len(vy), 1, 1)
+            "x,y->xy", fs.B[2], vy).reshape(grid.n, 1, len(vy), 1, 1)
         a_y = (-(e / m) * (fs.E[1].reshape(grid.n, 1, 1, 1, 1)
-                           - np.einsum("x,v->xv", B_nodes[2], vx).reshape(
+                           - np.einsum("x,v->xv", fs.B[2], vx).reshape(
                                grid.n, len(vx), 1, 1, 1)))
 
     def check(name, ratio):
@@ -275,7 +274,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     check("v-advection", np.max(np.abs(a_x)) * dt / dvs[0])
     if two_v:
         check("vy-advection", np.max(np.abs(a_y)) * dt / dvs[1])
-    omega = 2 * params.mu_B * np.max(np.linalg.norm(B_nodes, axis=0)) / params.hbar
+    omega = 2 * params.mu_B * np.max(np.linalg.norm(fs.B, axis=0)) / params.hbar
     if omega * dt >= np.pi / 4:
         raise ValueError(
             f"CFL violation on spin rotation: omega dt = {omega * dt:.3f} >= pi/4")
@@ -301,7 +300,7 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
 
     vals = x_half(f.values)
     vals = v_half(vals)
-    vals = _rotate_sphere(vals, f.quad, B_nodes, params, dt)
+    vals = _rotate_sphere(vals, f.quad, fs.B, params, dt)
     vals = v_half(vals)
     vals = x_half(vals)
     return ExtendedDistribution(grid, f.v_axes, f.quad, vals)

@@ -1,4 +1,4 @@
-"""Madelung quantum-fluid solver (scalar case) and spin-density transport.
+"""Madelung quantum-fluid solver (scalar case).
 
 The momentum equation carries the Bohm-de Broglie term; spatial derivatives
 are spectral on the periodic grid and time stepping is classical RK4.  Each
@@ -15,8 +15,8 @@ potential of d^2 phi/dx^2 = q (n - mean n) / epsilon0, that is the electron
 charge -q n over a neutralising background equal to the mean of n, solved
 in the stage spectrum as phi_k = -q n_k / (epsilon0 k^2) at k != 0.
 
-Spin density transport advances by exact rotation about the instantaneous
-effective field, conserving |s| to rounding.
+Spin transport is not stepped here: `ensemble` evaluates the spin equation
+of the fluid moment hierarchy on wavefunction ensembles.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ import numpy as np
 
 from .grid import SpatialGrid1D
 from .params import PlasmaParams
-from .rotation import rodrigues_rotate
 
 DENSITY_FLOOR_REL = 1e-10
 
@@ -143,36 +142,3 @@ def step_fluid(state: FluidState, phi, params: PlasmaParams, dt,
     n1 = n0 + dt / 6 * (k1n + 2 * k2n + 2 * k3n + k4n)
     u1 = u0 + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
     return FluidState(state.grid, n1, u1)
-
-
-def effective_spin_field(grid: SpatialGrid1D, s_field, n, B, params: PlasmaParams):
-    """Omega_eff = (2 mu_B / hbar) B - (1 / m n) d/dx (n d/dx s)."""
-    exchange = grid.derivative(n[None, :] * grid.derivative(s_field))
-    return (2 * params.mu_B / params.hbar) * B - exchange / (params.mass * n[None, :])
-
-
-def spin_density_rhs(s_field, n, B, params: PlasmaParams, grid: SpatialGrid1D):
-    """ds/dt = Omega_eff x s for the single-wavefunction spin density.
-
-    Requires |s| = hbar/2 at every point (the pure-state normalization).
-    """
-    s_field = np.asarray(s_field, dtype=float)
-    mag = np.linalg.norm(s_field, axis=0)
-    if np.max(np.abs(mag / (params.hbar / 2) - 1)) > 1e-10:
-        raise ValueError("spin density magnitude must equal hbar/2 everywhere")
-    omega = effective_spin_field(grid, s_field, n, B, params)
-    return np.cross(omega.T, s_field.T).T
-
-
-def step_spin_density(s_field, n, B, params: PlasmaParams, grid: SpatialGrid1D, dt):
-    """Advance s by exact rotation about the midpoint effective field."""
-    omega1 = effective_spin_field(grid, s_field, n, B, params)
-    half = _rotate_about(s_field, omega1, dt / 2)
-    omega2 = effective_spin_field(grid, half, n, B, params)
-    return _rotate_about(s_field, omega2, dt)
-
-
-def _rotate_about(s_field, omega, dt):
-    axis = omega.T
-    angle = np.linalg.norm(axis, axis=-1) * dt
-    return rodrigues_rotate(s_field.T, axis, angle).T

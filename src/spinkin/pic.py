@@ -24,6 +24,10 @@ gather's (rows, N) output, which becomes the kicks, and one (rows, N)
 temporary inside gather; a nonzero B adds the rotation's own.  Fresh
 N-sized arrays every step cost more than their arithmetic, because the
 heap pages they free and fetch again come back as minor page faults.
+
+`load_particles` is a cold quiet start: stratified positions that invert
+the density CDF, every velocity zero and a deterministic spin set, so a
+particle run does not depend on the seed.
 """
 
 import dataclasses
@@ -236,17 +240,16 @@ def push_particles(ens: ParticleEnsemble, fs: FieldState, params: PlasmaParams,
     """
     grid = ens.grid
     e, m = params.charge, params.mass
-    B_nodes = fs.b_nodes()
-    omega_c = e * np.max(np.linalg.norm(B_nodes, axis=0)) / m
+    omega_c = e * np.max(np.linalg.norm(fs.B, axis=0)) / m
     if dt * omega_c >= 0.5:
         raise ValueError(
             f"dt too large: dt * omega_c = {dt * omega_c:.3f} >= 0.5")
 
     dB = fs.db_nodes()
     E_rows = np.flatnonzero(np.any(fs.E, axis=1))
-    B_rows = np.flatnonzero(np.any(B_nodes, axis=1))
+    B_rows = np.flatnonzero(np.any(fs.B, axis=1))
     dB_rows = np.flatnonzero(np.any(dB, axis=1))
-    rows = np.concatenate([fs.E[E_rows], B_nodes[B_rows], dB[dB_rows]])
+    rows = np.concatenate([fs.E[E_rows], fs.B[B_rows], dB[dB_rows]])
     gathered = gather(rows, ens.x, grid, ens.cic())
     n_E, n_EB = len(E_rows), len(E_rows) + len(B_rows)
     E_g, B_g, dB_g = gathered[:n_E], gathered[n_E:n_EB], gathered[n_EB:]
@@ -374,38 +377,22 @@ def _invert_density_cdf(x, u, amp, k, length):
 
 
 def load_particles(grid: SpatialGrid1D, n_particles, density_amplitude=0.0,
-                   density_mode=1, v_thermal=0.0, drift=0.0,
-                   spin="isotropic", total_density=1.0, seed=0,
-                   quiet=True) -> ParticleEnsemble:
-    """Quiet-start loading for n(x) = n0 (1 + A cos(k x)), Maxwellian v_x.
+                   density_mode=1, spin="isotropic",
+                   total_density=1.0) -> ParticleEnsemble:
+    """Cold quiet start for n(x) = n0 (1 + A cos(k x)), all particles at rest.
 
-    quiet=True uses stratified inversion in x and v with a low-discrepancy
-    spin spiral; quiet=False draws pseudo-random samples from a counter
-    based generator so runs are reproducible per seed.
+    Positions invert the density CDF at the stratified points
+    (i + 1/2) / N; spins are the low-discrepancy spiral of
+    `fibonacci_sphere` ("isotropic") or all along one given axis.
+    The load is deterministic.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
     L = grid.length
     k = 2 * np.pi * density_mode / L
-    if quiet:
-        u_x = (np.arange(n_particles) + 0.5) / n_particles
-        # scramble the pairing so x and v strata are uncorrelated
-        u_v = rng.permutation((np.arange(n_particles) + 0.5) / n_particles)
-    else:
-        u_x = rng.random(n_particles)
-        u_v = rng.random(n_particles)
-
+    u_x = (np.arange(n_particles) + 0.5) / n_particles
     x = u_x * L
     if density_amplitude != 0.0:
         x = _invert_density_cdf(x, u_x, density_amplitude, k, L)
     v = np.zeros((n_particles, 3))
-    if v_thermal > 0:
-        # scipy.special adds ~25 MB to a run's memory; only a thermal
-        # load needs it
-        from scipy.special import erfinv
-
-        v[:, 0] = drift + v_thermal * np.sqrt(2) * erfinv(2 * u_v - 1)
-    else:
-        v[:, 0] = drift
 
     if spin == "isotropic":
         s_hat = fibonacci_sphere(n_particles)

@@ -56,9 +56,8 @@ class Scenario:
 def _precession_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
     fs = external_profiles("uniform_B", dict(B0=cfg.B0), grid)
-    ens = load_particles(grid, cfg.n_particles, v_thermal=0.0,
-                         spin=[1.0, 0.0, 0.0], total_density=cfg.density,
-                         seed=cfg.seed)
+    ens = load_particles(grid, cfg.n_particles, spin=[1.0, 0.0, 0.0],
+                         total_density=cfg.density)
     return dict(ens=ens, fs=fs, params=cfg.params)
 
 
@@ -98,8 +97,7 @@ def _plasma_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
     ens = load_particles(grid, cfg.n_particles,
                          density_amplitude=cfg.perturbation,
-                         density_mode=cfg.mode, v_thermal=0.0,
-                         total_density=cfg.density, seed=cfg.seed)
+                         density_mode=cfg.mode, total_density=cfg.density)
     fs = FieldState(grid)
     state = dict(ens=ens, fs=fs, params=cfg.params, mode=cfg.mode)
     _plasma_fields(state)

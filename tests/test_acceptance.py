@@ -363,7 +363,6 @@ def test_criterion_11_quantum_spin_gradient_term():
     v = uniform_velocity_axis(32, 3.0)
     fs = FieldState(grid)
     fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-    fs.metadata["staggered"] = False
     gx = sum(np.exp(-((grid.x - np.pi - 2 * np.pi * j) ** 2) / (2 * 0.8**2))
              for j in (-1, 0, 1))
     gv = np.exp(-(v**2) / (2 * 0.6**2))

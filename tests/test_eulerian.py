@@ -115,7 +115,6 @@ class TestSpinRotation:
         fs = FieldState(grid)
         B0 = 0.5
         fs.B[0] = B0  # uniform B along x, handled by the harmonic path
-        fs.metadata["staggered"] = False
         omega = 2 * PARAMS.mu_B * B0 / PARAMS.hbar
         dt = 0.3 / omega
         cur = eulerian_step(f, fs, PARAMS, dt)
@@ -132,7 +131,6 @@ class TestQuantumTerm:
         v = uniform_velocity_axis(32, 3.0)
         fs = FieldState(grid)
         fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-        fs.metadata["staggered"] = False
         f = gaussian_1v(grid, v, spin_vec=[0.4, 0.2, 0.3])
         return grid, v, fs, f
 
@@ -364,7 +362,6 @@ class TestKernelsMatchReference:
         fs = FieldState(grid)
         fs.B[0] = 0.3
         fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-        fs.metadata["staggered"] = False
         f = gaussian_1v(grid, uniform_velocity_axis(16, 3.0),
                         spin_vec=[0.4, 0.2, 0.3])
         eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
@@ -386,7 +383,6 @@ class TestKernelsMatchReference:
         fs = FieldState(grid)
         fs.B[0] = 0.3
         fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-        fs.metadata["staggered"] = False
         f = gaussian_1v(grid, uniform_velocity_axis(8, 3.0),
                         spin_vec=[0.4, 0.2, 0.3])
         dt = 0.02
@@ -552,7 +548,6 @@ def eulerian_spin_case(seed):
     fs = FieldState(grid)
     fs.B[0] = 0.3
     fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-    fs.metadata["staggered"] = False
     gx = sum(np.exp(-((grid.x - np.pi - 2 * np.pi * j) ** 2) / (2 * 0.8**2))
              for j in (-1, 0, 1))
     gv = np.exp(-(v**2) / (2 * 0.6**2))

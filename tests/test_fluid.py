@@ -8,9 +8,7 @@ from spinkin.fluid import (
     DensityFloorError,
     FluidState,
     fluid_rhs,
-    spin_density_rhs,
     step_fluid,
-    step_spin_density,
 )
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
@@ -219,62 +217,3 @@ class TestStepFluid:
             step_fluid(st, None, PARAMS, 0.01)
         assert err.value.x_where == grid.x[7]
 
-
-class TestSpinDensity:
-    def test_uniform_precession_rate(self):
-        grid = SpatialGrid1D(32, 10.0)
-        B0 = 0.7
-        B = np.zeros((3, grid.n))
-        B[2] = B0
-        n = np.ones(grid.n)
-        s = np.zeros((3, grid.n))
-        s[0] = PARAMS.hbar / 2
-        ds = spin_density_rhs(s, n, B, PARAMS, grid)
-        # ds/dt = (2 mu_B B0/hbar) z x s
-        assert np.max(np.abs(ds[1] - 2 * PARAMS.mu_B * B0 / PARAMS.hbar * s[0])) < 1e-14
-        assert np.max(np.abs(ds[0])) < 1e-14
-        # exact rotation over a quarter period
-        t_q = np.pi / 2 / (2 * PARAMS.mu_B * B0 / PARAMS.hbar)
-        out = step_spin_density(s, n, B, PARAMS, grid, t_q)
-        assert np.max(np.abs(out[1] - PARAMS.hbar / 2)) < 1e-12
-        assert np.max(np.abs(out[0])) < 1e-12
-
-    def test_zero_field_uniform_spin_static(self):
-        grid = SpatialGrid1D(32, 10.0)
-        s = np.zeros((3, grid.n))
-        s[2] = PARAMS.hbar / 2
-        ds = spin_density_rhs(s, np.ones(grid.n), np.zeros((3, grid.n)), PARAMS, grid)
-        assert np.max(np.abs(ds)) == 0.0
-
-    def test_orthogonality_preserves_magnitude(self):
-        rng = np.random.default_rng(2)
-        grid = SpatialGrid1D(64, 10.0)
-        theta = 0.5 + 0.3 * np.sin(2 * np.pi * grid.x / grid.length)
-        phi = 2 * np.pi * grid.x / grid.length
-        s = PARAMS.hbar / 2 * np.array([np.sin(theta) * np.cos(phi),
-                                        np.sin(theta) * np.sin(phi), np.cos(theta)])
-        n = 1 + 0.3 * np.cos(2 * np.pi * grid.x / grid.length)
-        B = rng.normal(size=(3, 1)) * np.ones((3, grid.n))
-        ds = spin_density_rhs(s, n, B, PARAMS, grid)
-        assert np.max(np.abs(np.sum(s * ds, axis=0))) < 1e-14
-
-    def test_magnitude_invariance_long_run(self):
-        grid = SpatialGrid1D(64, 10.0)
-        theta = 0.5 + 0.3 * np.sin(2 * np.pi * grid.x / grid.length)
-        phi = 2 * np.pi * grid.x / grid.length
-        s = PARAMS.hbar / 2 * np.array([np.sin(theta) * np.cos(phi),
-                                        np.sin(theta) * np.sin(phi), np.cos(theta)])
-        n = 1 + 0.3 * np.cos(2 * np.pi * grid.x / grid.length)
-        B = np.zeros((3, grid.n))
-        B[2] = 0.4
-        for _ in range(10_000):
-            s = step_spin_density(s, n, B, PARAMS, grid, 0.002)
-        mag = np.linalg.norm(s, axis=0)
-        assert np.max(np.abs(mag - PARAMS.hbar / 2)) < 1e-10
-
-    def test_magnitude_violation_rejected(self):
-        grid = SpatialGrid1D(32, 10.0)
-        s = np.zeros((3, grid.n))
-        s[2] = 0.3  # not hbar/2
-        with pytest.raises(ValueError):
-            spin_density_rhs(s, np.ones(grid.n), np.zeros((3, grid.n)), PARAMS, grid)

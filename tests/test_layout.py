@@ -1,8 +1,9 @@
 """Package layout rules: no module reaches into another's private names,
 every defaulted parameter (dataclass fields included) is passed by some
-call, the numeric modules load without the symbolic algebra stack, the
-Eulerian solver loads without scipy.special, and the command line, a run
-and its frequency fit load neither scipy.optimize nor scipy.special."""
+call, scipy is imported only inside SphereQuadrature.harmonic_matrix, the
+numeric modules load without the symbolic algebra stack, the Eulerian
+solver loads without scipy.special, and the command line, a run and its
+frequency fit load neither scipy.optimize nor scipy.special."""
 
 import ast
 import os
@@ -27,6 +28,36 @@ def test_no_private_cross_module_imports():
                         offenders.append(
                             f"{path.name}: from {'.' * node.level}"
                             f"{node.module or ''} import {alias.name}")
+    assert not offenders, offenders
+
+
+def _scipy_imports(node, scope=()):
+    """(scope, module) for every import of scipy under node; scope is the
+    chain of enclosing class and function names."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        out += [(scope, n) for n in names if n.split(".")[0] == "scipy"]
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+        out += _scipy_imports(child, inner)
+    return out
+
+
+def test_scipy_imported_only_by_harmonic_matrix():
+    allowed = ("sphere.py", ("SphereQuadrature", "harmonic_matrix"))
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}: {'.'.join(scope) or '<module>'} imports {mod}"
+                      for scope, mod in _scipy_imports(tree)
+                      if (path.name, scope) != allowed]
     assert not offenders, offenders
 
 

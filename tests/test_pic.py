@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinkin import pic
 from spinkin.config import config_from_dict
-from spinkin.fields import FieldState, bound_current, external_profiles
+from spinkin.fields import FieldState, external_profiles
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.pic import (
@@ -103,7 +103,6 @@ class TestPush:
         grid = SpatialGrid1D(32, 2 * np.pi)
         fs = FieldState(grid)
         fs.B[2] = 0.8 + 0.2 * np.cos(grid.x)
-        fs.metadata["staggered"] = False
         rng = np.random.default_rng(9)
         n = 50
         s = rng.normal(size=(n, 3))
@@ -145,15 +144,18 @@ class TestDeposit:
         assert np.max(np.abs(M[2] - fitted)) < 1e-12  # deposition is single mode
         assert np.max(np.abs(jb[1] - amp * k * np.sin(k * grid.x))) < 1e-8
         # centered-difference cross-check within its O(dx^2) error
-        jb_c = bound_current(M, grid, "centered")
-        assert np.max(np.abs(jb_c[1] - jb[1])) < abs(amp) * k**3 * grid.dx**2
+        jb_c = -(np.roll(M[2], -1) - np.roll(M[2], 1)) / (2 * grid.dx)
+        assert np.max(np.abs(jb_c - jb[1])) < abs(amp) * k**3 * grid.dx**2
 
     def test_charge_continuity_convergence(self):
         errs, hs = [], []
         for ng in (32, 64, 128, 256):
             grid = SpatialGrid1D(ng, 2 * np.pi)
-            ens = load_particles(grid, ng * 100, density_amplitude=0.1,
-                                 v_thermal=0.0, drift=0.8, spin=[0, 0, 1])
+            cold = load_particles(grid, ng * 100, density_amplitude=0.1,
+                                  spin=[0, 0, 1])
+            v = np.zeros_like(cold.v)
+            v[:, 0] = 0.8
+            ens = ParticleEnsemble(grid, cold.x, v, cold.s_hat, cold.w)
             dt = 0.2 * grid.dx
             rho0, j0, _, _ = deposit_sources(ens, PARAMS)
             pushed = push_particles(ens, FieldState(grid), PARAMS, dt)
@@ -175,13 +177,6 @@ class TestLoading:
         n = -rho / PARAMS.charge
         assert np.max(np.abs(n - (1 + amp * np.cos(grid.x)))) < 1e-3
 
-    def test_maxwellian_moments(self):
-        grid = SpatialGrid1D(32, 10.0)
-        vt, drift = 0.7, 0.2
-        ens = load_particles(grid, 20_000, v_thermal=vt, drift=drift)
-        assert abs(np.mean(ens.v[:, 0]) - drift) < 1e-3
-        assert abs(np.std(ens.v[:, 0]) - vt) < 1e-3
-
     def test_isotropic_spins_balance(self):
         s = fibonacci_sphere(5000)
         assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) < 1e-12
@@ -191,14 +186,6 @@ class TestLoading:
         grid = SpatialGrid1D(32, 10.0)
         ens = load_particles(grid, 1000, total_density=2.5)
         assert abs(np.sum(ens.w) - 2.5 * grid.length) < 1e-10
-
-    def test_random_loading_reproducible(self):
-        grid = SpatialGrid1D(32, 10.0)
-        a = load_particles(grid, 500, v_thermal=0.5, seed=42, quiet=False)
-        b = load_particles(grid, 500, v_thermal=0.5, seed=42, quiet=False)
-        c = load_particles(grid, 500, v_thermal=0.5, seed=43, quiet=False)
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
-        assert not np.array_equal(a.x, c.x)
 
 
 class TestValidation:
@@ -251,12 +238,11 @@ def reference_push(ens, fs, params, dt):
     """Boris step gathering each field on its own, spin force per half kick."""
     grid = ens.grid
     e, m = params.charge, params.mass
-    B_nodes = fs.b_nodes()
     dB = fs.metadata.get("dB_nodes")
     if dB is None:
-        dB = grid.derivative(B_nodes)
+        dB = grid.derivative(fs.B)
     E_p = gather(fs.E, ens.x, grid).T
-    B_p = gather(B_nodes, ens.x, grid).T
+    B_p = gather(fs.B, ens.x, grid).T
 
     def half_kick(v):
         force = np.einsum("ap,pa->p", gather(dB, ens.x, grid), ens.s_hat)
@@ -304,7 +290,6 @@ def tilted_fields(grid):
     fs.B[0] = 0.3
     fs.B[1] = 0.1 * np.cos(grid.x)
     fs.B[2] = 0.5 + 0.2 * np.sin(grid.x)
-    fs.metadata["staggered"] = False
     return fs
 
 
