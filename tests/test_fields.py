@@ -64,6 +64,55 @@ class TestPoisson:
         with pytest.raises(ValueError, match=f"not finite.*{bad}"):
             solve_poisson(rho_c, grid, PARAMS)
 
+    def test_nyquist_mode_dropped(self):
+        grid = SpatialGrid1D(32, 10.0)
+        rho_c = 0.5 * (-1.0) ** np.arange(grid.n)
+        assert np.max(np.abs(solve_poisson(rho_c, grid, PARAMS))) == 0.0
+
+    def test_field_has_zero_mean(self):
+        grid = SpatialGrid1D(64, 10.0)
+        rho_c = np.random.default_rng(3).normal(size=grid.n)
+        rho_c -= np.mean(rho_c)
+        assert abs(np.mean(solve_poisson(rho_c, grid, PARAMS))) < 1e-15
+
+
+class TestFieldState:
+    def test_zero_fields_at_nodes(self):
+        grid = SpatialGrid1D(16, 10.0)
+        fs = FieldState(grid)
+        assert fs.E.shape == fs.B.shape == (3, grid.n)
+        assert not np.any(fs.E) and not np.any(fs.B)
+        assert fs.metadata == {}
+
+    def test_instances_share_no_arrays(self):
+        grid = SpatialGrid1D(16, 10.0)
+        a, b = FieldState(grid), FieldState(grid)
+        a.E[0] = 1.0
+        a.B[2] = 2.0
+        a.metadata["dB_nodes"] = np.ones((3, grid.n))
+        assert not np.any(b.E) and not np.any(b.B)
+        assert b.metadata == {}
+
+    def test_db_nodes_spectral_without_overlay(self):
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        fs = FieldState(grid)
+        fs.B[1] = 0.4 * np.sin(2 * grid.x)
+        fs.B[2] = 0.7 + 0.1 * np.cos(3 * grid.x)
+        dB = fs.db_nodes()
+        assert dB.shape == (3, grid.n)
+        assert np.max(np.abs(dB[0])) == 0.0
+        assert np.max(np.abs(dB[1] - 0.8 * np.cos(2 * grid.x))) < 1e-12
+        assert np.max(np.abs(dB[2] + 0.3 * np.sin(3 * grid.x))) < 1e-12
+
+    def test_db_nodes_reads_overlay_derivative(self):
+        # the ramp is not periodic: its spectral derivative is far off B1
+        grid = SpatialGrid1D(32, 10.0)
+        fs = external_profiles("gradient_B", dict(B0=1.0, B1=0.2), grid)
+        dB = fs.db_nodes()
+        assert np.array_equal(dB[2], np.full(grid.n, 0.2))
+        assert not np.any(dB[:2])
+        assert np.max(np.abs(grid.derivative(fs.B[2]) - 0.2)) > 0.1
+
 
 class TestBoundCurrent:
     def test_uniform_magnetization_no_current(self):
@@ -82,6 +131,18 @@ class TestBoundCurrent:
         # centered-difference cross-check carries O(dx^2) error
         jc = -(np.roll(M[2], -1) - np.roll(M[2], 1)) / (2 * grid.dx)
         assert np.max(np.abs(jc - j[1])) < M0 * k**3 * grid.dx**2
+
+
+    def test_y_magnetization_gives_z_current(self):
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        k, M0 = 3.0, 0.4
+        M = np.zeros((3, grid.n))
+        M[0] = 0.9  # M_x carries no 1D curl
+        M[1] = M0 * np.cos(k * grid.x)
+        j = bound_current(M, grid)
+        assert np.max(np.abs(j[0])) == 0.0
+        assert np.max(np.abs(j[1])) == 0.0
+        assert np.max(np.abs(j[2] + M0 * k * np.sin(k * grid.x))) < 1e-12
 
 
 class TestExternalProfiles:
@@ -105,6 +166,14 @@ class TestExternalProfiles:
         grid = SpatialGrid1D(32, 2 * np.pi)
         fs = external_profiles("single_mode_E", dict(E0=0.4, k=2.0), grid)
         assert np.max(np.abs(fs.E[0] - 0.4 * np.sin(2 * grid.x))) < 1e-14
+
+    def test_defaults(self):
+        grid = SpatialGrid1D(32, 10.0)
+        assert np.array_equal(external_profiles("uniform_B", {}, grid).B[2],
+                              np.ones(grid.n))
+        fs = external_profiles("single_mode_E", {}, grid)
+        k = 2 * np.pi / grid.length
+        assert np.max(np.abs(fs.E[0] - np.sin(k * grid.x))) < 1e-14
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -132,3 +201,12 @@ def test_field_energy_single_modes():
     fs.B[2] = 0.3 * np.sin(grid.x)
     expected = (PARAMS.epsilon0 * 0.5**2 / 2 + 0.3**2 / (2 * PARAMS.mu0)) * np.pi
     assert abs(field_energy(fs, PARAMS) - expected) < 1e-13 * expected
+
+
+def test_field_energy_uniform_fields():
+    grid = SpatialGrid1D(16, 10.0)
+    fs = FieldState(grid)
+    fs.E[0] = 0.2
+    fs.B[2] = 0.7
+    expected = (PARAMS.epsilon0 * 0.2**2 / 2 + 0.7**2 / (2 * PARAMS.mu0)) * grid.length
+    assert abs(field_energy(fs, PARAMS) - expected) < 1e-14 * expected

@@ -187,6 +187,33 @@ class TestLoading:
         ens = load_particles(grid, 1000, total_density=2.5)
         assert abs(np.sum(ens.w) - 2.5 * grid.length) < 1e-10
 
+    def test_cold_start_at_rest_and_deterministic(self):
+        grid = SpatialGrid1D(32, 10.0)
+        a = load_particles(grid, 500, density_amplitude=0.3)
+        b = load_particles(grid, 500, density_amplitude=0.3)
+        assert not np.any(a.v)
+        for name in ("x", "v", "s_hat", "w"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_uniform_positions_stratified(self):
+        grid = SpatialGrid1D(32, 10.0)
+        n_p = 400
+        ens = load_particles(grid, n_p)
+        expected = (np.arange(n_p) + 0.5) / n_p * grid.length
+        assert np.max(np.abs(ens.x - expected)) < 1e-13
+
+    def test_spin_axis_normalised(self):
+        grid = SpatialGrid1D(32, 10.0)
+        ens = load_particles(grid, 50, spin=[0.0, 3.0, 4.0])
+        assert np.max(np.abs(ens.s_hat - [0.0, 0.6, 0.8])) < 1e-15
+
+    def test_second_density_mode_recovered(self):
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        amp = 0.08
+        ens = load_particles(grid, 64 * 200, density_amplitude=amp, density_mode=2)
+        n = -deposit_charge(ens, PARAMS) / PARAMS.charge
+        assert np.max(np.abs(n - (1 + amp * np.cos(2 * grid.x)))) < 1e-3
+
 
 class TestValidation:
     def test_non_unit_spin_rejected(self):
