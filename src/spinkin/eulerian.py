@@ -13,8 +13,10 @@ sphere gradient is `SphereQuadrature.gradient_along`.  Velocity space is
 1V (electrostatic) or 2V (magnetized, B along z).
 
 Each sweep runs over cache-sized blocks of lines that share one work
-buffer per call (padded block, work arrays and slopes), so a step allocates
-its outputs and a few buffers, not temporaries per block.
+buffer per call (padded block, work arrays and slopes).  A step allocates
+one f-sized array of its own, its output (plus the quantum increment when
+that term is on): the first x half-sweep writes it, and every later sweep
+and the sphere rotation update it in place.
 """
 
 from dataclasses import dataclass
@@ -113,7 +115,8 @@ def _mc_slope(qp, work, out):
 _BLOCK_CELLS = 1 << 14
 
 
-def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
+def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False,
+                out=None):
     """Conservative MUSCL update of one axis; speed is constant along it.
 
     speed broadcasts against values (numpy rules) and must have size 1 on
@@ -122,7 +125,9 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     limiter 'mc' is TVD; 'none' uses Fromm slopes for clean second-order
     convergence measurements.  Lines are swept in cache-sized blocks that
     share one work buffer per call; a line's update does not depend on the
-    blocking.
+    blocking.  out, a C-contiguous float array of values' shape, receives
+    the result and may be values itself: each block spans whole lines and
+    is copied into the padded work buffer before it is written.
     """
     values = np.ascontiguousarray(values, dtype=float)
     u = np.asarray(speed, dtype=float)
@@ -141,7 +146,9 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
     u = np.broadcast_to(u, (*values.shape[:axis], 1, *values.shape[axis + 1:]))
     u = u.reshape(rows, 1, cols)
     upwind_left = u >= 0
-    out = np.empty_like(q)
+    if out is None:
+        out = np.empty_like(values)
+    res = out.reshape(rows, n, cols)
     row_step = max(1, _BLOCK_CELLS // (n * cols))
     col_step = cols if row_step > 1 else max(1, _BLOCK_CELLS // n)
     # padded block, three work arrays and the slopes; a partial block
@@ -154,8 +161,8 @@ def advect_axis(values, axis, speed, dt, h, limiter="mc", periodic=False):
         for c in range(0, cols, col_step):
             block = (slice(r, r + row_step), slice(None), slice(c, c + col_step))
             _muscl_sweep(q[block], u[block], upwind_left[block], dt, h,
-                         limiter, periodic, work, out[block])
-    return out.reshape(values.shape)
+                         limiter, periodic, work, res[block])
+    return out
 
 
 def _muscl_sweep(q, u, upwind_left, dt, h, limiter, periodic, work, out):
@@ -203,7 +210,8 @@ def _muscl_sweep(q, u, upwind_left, dt, h, limiter, periodic, work, out):
 
 
 def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
-    """Rotate the spin sector about B(x) by (2 mu_B |B| / hbar) dt."""
+    """Rotate the spin sector about B(x) by (2 mu_B |B| / hbar) dt, in place;
+    returns values."""
     Bmag = np.linalg.norm(B_nodes, axis=0)
     angle = (2 * params.mu_B / params.hbar) * Bmag * dt   # (N_x,)
     if np.max(angle) == 0.0:
@@ -215,10 +223,11 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     inverse = inverse.reshape(-1)
     mats = quad.rotation_interp_matrices(B_nodes.T[first], angle[first])
     flat = values.reshape(values.shape[0], -1, quad.n_theta * quad.n_phi)
-    out = np.empty_like(flat)
+    row = np.empty_like(flat[0])
     for x, k in enumerate(inverse):
-        np.matmul(flat[x], mats[k].T, out=out[x])
-    return out.reshape(values.shape)
+        np.matmul(flat[x], mats[k].T, out=row)
+        flat[x] = row
+    return values
 
 
 def _quantum_increment(f: ExtendedDistribution, dB_nodes, params, dt):
@@ -240,7 +249,9 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     """One Strang-split step of the extended phase-space transport.
 
     Sweep order: half x, half v (with the quantum spin-velocity coupling
-    when enabled), full spin rotation, half v, half x.
+    when enabled), full spin rotation, half v, half x.  The first x sweep
+    writes the output and the later stages update it in place; f is not
+    written.
     """
     grid = f.grid
     e, m = params.charge, params.mass
@@ -281,9 +292,9 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
 
     vx_speed = vx.reshape(1, len(vx), *([1] * (f.values.ndim - 2)))
 
-    def x_half(vals):
+    def x_half(vals, out):
         return advect_axis(vals, 0, vx_speed, dt / 2, grid.dx, limiter,
-                           periodic=True)
+                           periodic=True, out=out)
 
     # the quantum spin-velocity flux is explicit: evaluated once on the
     # step input, so a distribution with no s_hat dependence is untouched
@@ -291,18 +302,17 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
         q_inc = _quantum_increment(f, dB, params, dt / 2)
 
     def v_half(vals):
-        out = advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter)
+        advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter, out=vals)
         if two_v:
-            out = advect_axis(out, 2, a_y, dt / 2, dvs[1], limiter)
+            advect_axis(vals, 2, a_y, dt / 2, dvs[1], limiter, out=vals)
         if quantum_term:
-            out += q_inc
-        return out
+            vals += q_inc
 
-    vals = x_half(f.values)
-    vals = v_half(vals)
-    vals = _rotate_sphere(vals, f.quad, fs.B, params, dt)
-    vals = v_half(vals)
-    vals = x_half(vals)
+    vals = x_half(f.values, None)
+    v_half(vals)
+    _rotate_sphere(vals, f.quad, fs.B, params, dt)
+    v_half(vals)
+    x_half(vals, vals)
     return ExtendedDistribution(grid, f.v_axes, f.quad, vals)
 
 

@@ -33,9 +33,16 @@ class FieldState:
 
     def db_nodes(self) -> np.ndarray:
         """dB/dx at the nodes: an overlay's exact metadata['dB_nodes'],
-        else the spectral derivative of B."""
+        else the spectral derivative of B's rows that are not all zero
+        (the others are exact zeros)."""
         dB = self.metadata.get("dB_nodes")
-        return self.grid.derivative(self.B) if dB is None else dB
+        if dB is not None:
+            return dB
+        dB = np.zeros_like(self.B)
+        rows = np.any(self.B, axis=1)
+        if rows.any():
+            dB[rows] = self.grid.derivative(self.B[rows])
+        return dB
 
 
 def solve_poisson(rho_c, grid: SpatialGrid1D, params: PlasmaParams):

@@ -535,6 +535,23 @@ class TestSweepsBitIdentical:
                                      periodic)
             assert np.array_equal(got, ref)
 
+    # a 2V array whose sweeps on every axis split into several blocks
+    SHAPE_2V = (12, 20, 16, 4, 8)
+
+    @pytest.mark.parametrize("sign", ["nonneg", "neg", "mixed"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("limiter", ["mc", "none"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_in_place_matches_out_of_place(self, axis, limiter, periodic,
+                                           sign):
+        values = _sweep_values(self.SHAPE_2V, 30 + axis)
+        speed = _sweep_speed(self.SHAPE_2V, axis, sign, 40 + axis)
+        ref = advect_axis(values, axis, speed, 0.04, 0.1, limiter, periodic)
+        got = advect_axis(values, axis, speed, 0.04, 0.1, limiter, periodic,
+                          out=values)
+        assert got is values
+        assert got.tobytes() == ref.tobytes()
+
 
 def eulerian_spin_case(seed):
     """The eulerian_spin benchmark inputs: tilted B with B_z = 0.5 + 0.2 sin x
@@ -590,7 +607,7 @@ def test_rotation_matches_masked_loop_bit_for_bit(case):
         values, B = f.values, fs.B
     else:
         values, B = uniform_b_2v_case()
-    got = _rotate_sphere(values, QUAD, B, PARAMS, 0.02)
+    got = _rotate_sphere(values.copy(), QUAD, B, PARAMS, 0.02)
     ref = masked_rotate_sphere(values, SphereQuadrature(8, 16), B, PARAMS,
                                0.02)
     assert got.tobytes() == ref.tobytes()
@@ -630,3 +647,71 @@ class TestRotationMemoInStep:
         f = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=True)
         got = eulerian_step(f, fs, PARAMS, 0.015, quantum_term=True)
         assert np.array_equal(got.values, self.fresh_step(f, fs, 0.015))
+
+
+def drifting_2v_case():
+    """A drifting Maxwellian over a (24, 24) velocity plane in uniform B_z."""
+    grid = SpatialGrid1D(16, 10.0)
+    vx = uniform_velocity_axis(24, 3.0)
+    vy = uniform_velocity_axis(24, 3.0)
+    fv = np.exp(-((vx[:, None] - 1.0) ** 2 + vy[None, :] ** 2) / (2 * 0.45**2))
+    sphere_part = (1 + QUAD.s_hat @ np.array([0.3, -0.2, 0.4])) / (4 * np.pi)
+    vals = (np.ones(grid.n)[:, None, None, None, None]
+            * fv[None, :, :, None, None] * sphere_part)
+    fs = external_profiles("uniform_B", dict(B0=0.5), grid)
+    return ExtendedDistribution(grid, (vx, vy), QUAD, vals), fs
+
+
+def gradient_b_case():
+    """1V with an overlay's exact d_x B in metadata['dB_nodes']."""
+    grid = SpatialGrid1D(32, 10.0)
+    fs = external_profiles("gradient_B", dict(B0=1.0, B1=0.05), grid)
+    f = gaussian_1v(grid, uniform_velocity_axis(16, 3.0),
+                    spin_vec=[0.2, 0.4, -0.3])
+    return f, fs
+
+
+class TestStepBuffers:
+    """A step writes one output array of its own and nothing it was given."""
+
+    CASES = {"eulerian_spin": (lambda: eulerian_spin_case(2011), True),
+             "gradient_b": (gradient_b_case, True),
+             "uniform_b_2v": (drifting_2v_case, False)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_inputs_untouched_and_output_fresh(self, case):
+        make, quantum = self.CASES[case]
+        f, fs = make()
+
+        def state():
+            return [f.values.tobytes(), fs.E.tobytes(), fs.B.tobytes(),
+                    {k: v.tobytes() for k, v in fs.metadata.items()}]
+
+        before = state()
+        out = eulerian_step(f, fs, PARAMS, 0.02, quantum_term=quantum)
+        assert state() == before
+        for arr in (f.values, fs.E, fs.B, *fs.metadata.values()):
+            assert not np.shares_memory(out.values, arr)
+        assert not np.array_equal(out.values, f.values)
+
+    @pytest.mark.parametrize("case, quantum, budget", [
+        ("eulerian_spin", True, 2.5),
+        ("eulerian_spin", False, 1.5),
+        ("uniform_b_2v", False, 1.5)])
+    def test_step_peak_memory(self, case, quantum, budget):
+        # traced peak of one warm step above its input, in units of one f:
+        # the output, the quantum increment and its flux, and small buffers
+        import tracemalloc
+
+        f, fs = self.CASES[case][0]()
+        # the first step builds and keeps the rotation stack
+        eulerian_step(f, fs, PARAMS, 0.02, quantum_term=quantum)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eulerian_step(f, fs, PARAMS, 0.02, quantum_term=quantum)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        nbytes = f.values.nbytes
+        assert peak <= budget * nbytes, f"{peak / nbytes:.2f} f"
