@@ -1,15 +1,15 @@
 """Command-line interface: run, check, transform, fit.
 
-`spinkin run` executes a configured scenario; `spinkin check` runs the
-acceptance presets and prints a pass/fail table (exit code 0 only when
-everything passes); `spinkin transform` applies a phase-space or spin
-transform to a stored state snapshot; `spinkin fit` extracts frequency
-and damping from a diagnostics CSV column.  The only environment
-override is the output directory (SPINKIN_OUT).
+`spinkin run` executes a configured scenario: the config file is its
+whole input, and `--out` only chooses where the run directory goes.
+`spinkin check` runs the acceptance presets and prints a pass/fail table
+(exit code 0 only when everything passes); `spinkin transform` applies a
+phase-space or spin transform to a stored state snapshot; `spinkin fit`
+extracts frequency and damping from a diagnostics CSV column.  The only
+environment override is the output directory (SPINKIN_OUT).
 """
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -31,7 +31,7 @@ CHECK_PRESETS = {
     "stern_gerlach": dict(scenario="stern_gerlach", B0=0.0, B1=0.1,
                           n_particles=1000, n_x=32, dt=0.02, t_end=2.0),
     "free_stream": dict(scenario="free_stream", n_x=32, n_v=24, v_max=4.0,
-                        n_theta=2, n_phi=4, dt=0.025, t_end=1.0),
+                        dt=0.025, t_end=1.0),
 }
 
 
@@ -41,8 +41,6 @@ def _out_from_env(explicit):
 
 def cmd_run(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     run_dir, status = run_case(cfg, out_dir=_out_from_env(args.out))
     print(f"{run_dir}: {status}")
     return 0 if status == "completed" else 1
@@ -208,7 +206,6 @@ def build_parser():
     p = sub.add_parser("run", help="execute a configured scenario")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("check", help="run acceptance scenario presets")

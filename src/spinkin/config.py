@@ -6,7 +6,8 @@ metadata its range text and validator.  An integer key is finite below
 2**63.  A configuration is a flat JSON object.  Unknown keys are rejected,
 every violation is reported (all at once) with the expected type and
 range, and a write-then-read round trip reproduces the default-expanded
-config exactly.
+config exactly.  Every key is read by a scenario's setup or by the run
+loop (`scenario`, `dt`, `t_end`, `cadence`, `out_dir`).
 """
 
 import json
@@ -37,13 +38,10 @@ class RunConfig:
     length: float = _key(10.0, *_POSITIVE)
     n_v: int = _key(32, *_POSITIVE_INT)
     v_max: float = _key(4.0, *_POSITIVE)
-    n_theta: int = _key(8, *_POSITIVE_INT)
-    n_phi: int = _key(16, *_POSITIVE_INT)
     hbar: float = _key(1.0, *_POSITIVE)
     c: float = _key(1.0, *_POSITIVE)
     density: float = _key(1.0, *_POSITIVE)
     n_particles: int = _key(20000, *_POSITIVE_INT)
-    seed: int = _key(0, "finite, >= 0", lambda v: 0 <= v < _INT_LIMIT)
     dt: float = _key(0.01, *_POSITIVE)
     t_end: float = _key(10.0, *_POSITIVE)
     cadence: int = _key(1, *_POSITIVE_INT)

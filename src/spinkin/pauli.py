@@ -127,40 +127,37 @@ def init_state(family, parameters, grid: SpatialGrid1D) -> SpinorField:
 
     Families: 'gaussian' (x0, width, p0, theta0, phi0), 'plane_wave'
     (p0 snapped to the nearest grid mode, theta0, phi0), 'superposition'
-    (two gaussian envelopes, optional separate spins).
+    (two gaussian envelopes at x0 and x1 with phase gradients p0 and p1,
+    default -p0; optional separate spin theta1, phi1).  p0 is the phase
+    gradient: a packet is built as exp(i p0 x), so its momentum is hbar p0.
+    A key the family does not read raises ValueError.
     """
     p = dict(parameters)
-    hbar = p.pop("hbar", 1.0)
     theta0 = p.pop("theta0", 0.0)
     phi0 = p.pop("phi0", 0.0)
     chi = spin_orientation(theta0, phi0)
     x = grid.x
 
+    def packet(x0, width, p0):
+        return np.exp(-((x - x0) ** 2) / (2 * width**2)) * np.exp(1j * p0 * x)
+
     if family == "gaussian":
-        x0 = p.pop("x0", grid.length / 2)
-        width = p.pop("width", 1.0)
-        p0 = p.pop("p0", 0.0)
-        env = np.exp(-((x - x0) ** 2) / (2 * width**2)) * np.exp(1j * p0 * x / hbar)
-        psi = np.outer(chi, env)
+        psi = np.outer(chi, packet(p.pop("x0", grid.length / 2),
+                                   p.pop("width", 1.0), p.pop("p0", 0.0)))
     elif family == "plane_wave":
-        p0 = p.pop("p0", 0.0)
-        mode = round(p0 * grid.length / (2 * np.pi * hbar))
-        k0 = 2 * np.pi * mode / grid.length
-        psi = np.outer(chi, np.exp(1j * k0 * x))
+        mode = round(p.pop("p0", 0.0) * grid.length / (2 * np.pi))
+        psi = np.outer(chi, np.exp(1j * (2 * np.pi * mode / grid.length) * x))
     elif family == "superposition":
-        x0 = p.pop("x0", grid.length / 3)
-        x1 = p.pop("x1", 2 * grid.length / 3)
         width = p.pop("width", 1.0)
         p0 = p.pop("p0", 0.0)
-        p1 = p.pop("p1", -p.get("p0", 0.0))
-        theta1 = p.pop("theta1", theta0)
-        phi1 = p.pop("phi1", phi0)
-        chi1 = spin_orientation(theta1, phi1)
-        env0 = np.exp(-((x - x0) ** 2) / (2 * width**2)) * np.exp(1j * p0 * x / hbar)
-        env1 = np.exp(-((x - x1) ** 2) / (2 * width**2)) * np.exp(1j * p1 * x / hbar)
-        psi = np.outer(chi, env0) + np.outer(chi1, env1)
+        chi1 = spin_orientation(p.pop("theta1", theta0), p.pop("phi1", phi0))
+        psi = (np.outer(chi, packet(p.pop("x0", grid.length / 3), width, p0))
+               + np.outer(chi1, packet(p.pop("x1", 2 * grid.length / 3),
+                                       width, p.pop("p1", -p0))))
     else:
         raise ValueError(f"unknown state family '{family}'")
+    if p:
+        raise ValueError(f"unused parameters for '{family}': {sorted(p)}")
     return SpinorField(grid, psi).normalized()
 
 

@@ -2,7 +2,8 @@
 
 Each scenario supplies setup/step/diagnose/snapshot callbacks; run_case
 drives the loop, writes the expanded config, a diagnostics CSV, cadence
-snapshots and a status file into a self-describing run directory.  A
+snapshots and a status file into a self-describing run directory, named
+`<scenario>` (then `<scenario>-1`, `<scenario>-2`, ... if taken).  A
 rejected step aborts the run but preserves every file written so far,
 including the last valid snapshot.
 """
@@ -172,7 +173,9 @@ def _fluid_snapshot(state):
 
 def _stream_setup(cfg):
     grid = SpatialGrid1D(cfg.n_x, cfg.length)
-    quad = SphereQuadrature(cfg.n_theta, cfg.n_phi)
+    # f is spin-isotropic (1/4 pi on the sphere) and field-free, so the
+    # sphere's size changes only rounding; 2 x 4 keeps it cheap
+    quad = SphereQuadrature(2, 4)
     v = uniform_velocity_axis(cfg.n_v, cfg.v_max)
     xw, vw = cfg.length / 12, cfg.v_max / 4
 
@@ -259,18 +262,17 @@ SCENARIOS = {
 def _run_directory(cfg: RunConfig, out_dir=None):
     base = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(base, exist_ok=True)
-    stem = f"{cfg.scenario}-seed{cfg.seed}"
-    path = os.path.join(base, stem)
+    path = os.path.join(base, cfg.scenario)
     suffix = 0
     # makedirs itself is the existence test, so concurrent runs with the
-    # same stem cannot both claim one directory
+    # same scenario cannot both claim one directory
     while True:
         try:
             os.makedirs(path)
             return path
         except FileExistsError:
             suffix += 1
-            path = os.path.join(base, f"{stem}-{suffix}")
+            path = os.path.join(base, f"{cfg.scenario}-{suffix}")
 
 
 def run_case(cfg: RunConfig, out_dir=None):

@@ -40,13 +40,14 @@ class TestRun:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 1
 
-    def test_seed_override(self, tmp_path):
+    def test_seed_flag_rejected(self, tmp_path):
+        # no scenario reads a seed, so run takes none
         cfg = write_config(tmp_path)
-        out = str(tmp_path / "runs")
-        main(["run", "--config", cfg, "--out", out, "--seed", "7"])
-        run_dir = next(str(p) for p in (tmp_path / "runs").iterdir())
-        saved = json.load(open(os.path.join(run_dir, "config.json")))
-        assert saved["seed"] == 7
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "r"),
+                  "--seed", "3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
 
     def test_env_out_override(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path)

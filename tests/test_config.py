@@ -29,10 +29,9 @@ def valid_configs(draw):
         {"scenario": st.text(min_size=1)},
         optional={"n_x": POSITIVE_INT, "length": POSITIVE_FLOAT,
                   "n_v": POSITIVE_INT, "v_max": POSITIVE_FLOAT,
-                  "n_theta": POSITIVE_INT, "n_phi": POSITIVE_INT,
                   "hbar": POSITIVE_FLOAT, "c": POSITIVE_FLOAT,
                   "density": POSITIVE_FLOAT, "n_particles": POSITIVE_INT,
-                  "seed": st.integers(0, 2**31), "B0": FINITE, "B1": FINITE,
+                  "B0": FINITE, "B1": FINITE,
                   "mode": POSITIVE_INT, "perturbation": FINITE,
                   "out_dir": st.text(min_size=1)}))
     data.update(dt=dt, t_end=n_steps * dt, cadence=cadence)
@@ -67,6 +66,17 @@ class TestRejections:
                               "n_x": "many", "bogus": 7})
         msg = str(exc.value)
         assert "dt" in msg and "n_x" in msg and "bogus" in msg
+
+    def test_keys_that_change_nothing_are_unknown(self):
+        # seed only named the run directory; free_stream's f is constant
+        # on the sphere, so n_theta and n_phi changed only rounding
+        with pytest.raises(ValueError) as exc:
+            config_from_dict({"scenario": "free_stream", "seed": 3,
+                              "n_theta": 2, "n_phi": 4, "dt": -1.0})
+        msg = str(exc.value)
+        for key in ("n_phi", "n_theta", "seed"):
+            assert f"{key}: unknown key (strict mode)" in msg
+        assert "dt: value -1.0" in msg
 
     def test_dt_must_be_less_than_t_end(self):
         with pytest.raises(ValueError, match="t_end"):
@@ -159,7 +169,7 @@ class TestNonFinite:
         assert f"{key}: integer out of float range" in msg
         assert "n_x: value 0" in msg
 
-    @pytest.mark.parametrize("key", ["n_x", "n_particles", "seed", "mode"])
+    @pytest.mark.parametrize("key", ["n_x", "n_particles", "mode"])
     def test_integer_keys_bounded_below_2_pow_63(self, key):
         assert config_from_dict({"scenario": "x", key: 2**63 - 1})
         with pytest.raises(ValueError,

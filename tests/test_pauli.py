@@ -63,6 +63,26 @@ class TestInitState:
         with pytest.raises(ValueError):
             init_state("vortex", {}, SpatialGrid1D(64, 10.0))
 
+    @pytest.mark.parametrize("family", ["gaussian", "plane_wave",
+                                        "superposition"])
+    @pytest.mark.parametrize("key", ["widht", "hbar"])
+    def test_unknown_key_rejected(self, family, key):
+        # a misspelled key would silently give the default
+        with pytest.raises(ValueError, match=rf"'{family}'.*'{key}'"):
+            init_state(family, {key: 2.0}, SpatialGrid1D(64, 10.0))
+
+    def test_superposition_packets_carry_opposite_momenta(self):
+        # p1 defaults to -p0: each half holds one packet, whose mean
+        # wavenumber Im(psi* dpsi/dx) / |psi|^2 is its phase gradient
+        grid = SpatialGrid1D(256, 20.0)
+        st = init_state("superposition", dict(p0=1.0), grid)
+        dpsi = np.fft.ifft(1j * grid.k * np.fft.fft(st.psi, axis=1), axis=1)
+        current = np.sum(np.imag(st.psi.conj() * dpsi), axis=0)
+        left = grid.x < grid.length / 2
+        for half, k0 in ((left, 1.0), (~left, -1.0)):
+            k_mean = np.sum(current[half]) / np.sum(st.density()[half])
+            assert abs(k_mean - k0) < 1e-3
+
 
 class TestStepPauli:
     def test_free_gaussian_dispersion(self):

@@ -1,13 +1,14 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from spinkin.config import config_from_dict
+from spinkin.config import RunConfig, config_from_dict
 from spinkin.diagnostics import DiagnosticsSeries, fit_frequency
 from spinkin.params import PlasmaParams
-from spinkin.scenarios import run_case
+from spinkin.scenarios import SCENARIOS, run_case
 from spinkin.snapshots import read_snapshot
 
 
@@ -17,6 +18,19 @@ def run(tmp_path, **cfg):
 
 def series_of(run_dir):
     return DiagnosticsSeries.read_csv(os.path.join(run_dir, "diagnostics.csv"))
+
+
+# one small run of each scenario
+SMALL_RUNS = [
+    dict(scenario="precession", B0=0.5, n_particles=200, n_x=8,
+         dt=0.1, t_end=1.0),
+    dict(scenario="plasma_osc", n_x=16, n_particles=2000, dt=0.1,
+         t_end=2.0),
+    dict(scenario="plasma_osc_fluid", n_x=16, dt=0.05, t_end=2.0),
+    dict(scenario="free_stream", n_x=16, n_v=8, dt=0.025, t_end=0.25),
+    dict(scenario="stern_gerlach", B1=0.1, n_particles=100, n_x=16,
+         dt=0.02, t_end=0.2),
+]
 
 
 class TestRunDirectory:
@@ -39,7 +53,9 @@ class TestRunDirectory:
                   dt=0.1, t_end=0.5)
         d1, _ = run(tmp_path, **kw)
         d2, _ = run(tmp_path, **kw)
-        assert d1 != d2 and os.path.isdir(d1) and os.path.isdir(d2)
+        assert d1 == str(tmp_path / "precession")
+        assert d2 == str(tmp_path / "precession-1")
+        assert os.path.isdir(d1) and os.path.isdir(d2)
 
     def test_unknown_scenario_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown scenario"):
@@ -48,35 +64,50 @@ class TestRunDirectory:
     def test_directory_claimed_atomically(self, tmp_path, monkeypatch):
         # another run creates the directory between any existence check
         # and makedirs; the loser must move on to the next suffix
-        (tmp_path / "precession-seed0").mkdir()
-        (tmp_path / "precession-seed0-1").mkdir()
+        (tmp_path / "precession").mkdir()
+        (tmp_path / "precession-1").mkdir()
         monkeypatch.setattr(os.path, "exists", lambda path: False)
         d, status = run(tmp_path, scenario="precession", B0=0.5,
                         n_particles=20, n_x=8, dt=0.1, t_end=0.2)
         assert status == "completed"
-        assert d == str(tmp_path / "precession-seed0-2")
+        assert d == str(tmp_path / "precession-2")
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("kw", [
-        dict(scenario="precession", B0=0.5, n_particles=200, n_x=8,
-             dt=0.1, t_end=1.0),
-        dict(scenario="plasma_osc", n_x=16, n_particles=2000, dt=0.1,
-             t_end=2.0),
-        dict(scenario="plasma_osc_fluid", n_x=16, dt=0.05, t_end=2.0),
-        dict(scenario="free_stream", n_x=16, n_v=8, n_theta=2, n_phi=4,
-             dt=0.025, t_end=0.25),
-        dict(scenario="stern_gerlach", B1=0.1, n_particles=100, n_x=16,
-             dt=0.02, t_end=0.2),
-    ], ids=lambda kw: kw["scenario"])
+    @pytest.mark.parametrize("kw", SMALL_RUNS, ids=lambda kw: kw["scenario"])
     def test_identical_config_gives_identical_csv(self, tmp_path, kw):
-        kw = dict(kw, seed=3)
         d1, s1 = run(tmp_path / "a", **kw)
         d2, _ = run(tmp_path / "b", **kw)
         assert s1 == "completed"
         b1 = open(os.path.join(d1, "diagnostics.csv"), "rb").read()
         b2 = open(os.path.join(d2, "diagnostics.csv"), "rb").read()
         assert b1 == b2
+
+
+class TestConfigKeysRead:
+    # read by run_case itself; every other key only by a scenario's setup
+    RUN_LOOP_KEYS = {"scenario", "dt", "t_end", "cadence", "out_dir"}
+
+    def test_every_field_is_read_by_a_run(self):
+        # strict config: a key no run reads would be accepted and ignored
+        # (RunConfig(**values) passes every field, so the layout test's
+        # constructor scan cannot see this)
+        names = {f.name for f in dataclasses.fields(RunConfig)}
+        reads = set()
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        assert {kw["scenario"] for kw in SMALL_RUNS} == set(SCENARIOS)
+        for kw in SMALL_RUNS:
+            cfg = config_from_dict(kw)
+            SCENARIOS[cfg.scenario].setup(Recording(**cfg.to_dict()))
+        unread = names - reads - self.RUN_LOOP_KEYS
+        assert not unread, f"RunConfig fields no run reads: {sorted(unread)}"
+        assert self.RUN_LOOP_KEYS <= names
 
 
 class TestAbortSafety:
@@ -148,7 +179,7 @@ class TestScenarioPhysics:
         errs = []
         for n_x, dt in ((32, 0.025), (64, 0.0125)):
             d, _ = run(tmp_path, scenario="free_stream", n_x=n_x, n_v=24,
-                       n_theta=2, n_phi=4, dt=dt, t_end=1.0)
+                       dt=dt, t_end=1.0)
             errs.append(series_of(d).columns["l1_error"][-1])
         assert errs[0] / errs[1] > 2.8
 
