@@ -233,7 +233,11 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit code, argparse's included."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, KeyError) as exc:

@@ -58,10 +58,6 @@ class ExtendedDistribution:
         return float(np.sum(self.values * self.quad.weights)
                      * self.grid.dx * np.prod(self.dv))
 
-    def density(self) -> np.ndarray:
-        axes = tuple(range(1, self.values.ndim))
-        return np.sum(self.values * self.quad.weights, axis=axes) * np.prod(self.dv)
-
     def moments(self, params: PlasmaParams):
         """(n, j_free_x, M) with the triple angular moment rule for M."""
         w = self.quad.weights

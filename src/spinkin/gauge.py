@@ -6,11 +6,10 @@ straight-line integral of the vector potential produces a distribution in
 the kinetic velocity that is invariant under static gauge changes.  This
 module provides the state-level gauge transformation, the dressed
 transform with the line integral in closed form (each Fourier mode of A
-averages to a sinc of the lag), the differential correction series
-connecting the two distributions at second order in hbar, and the
-corrected field operators at the same order.  The dressing is a kernel
-factor of the lag y (`line_integral_dressing`) for the shared correlation
-kernel of transforms.
+averages to a sinc of the lag), and the differential correction series
+connecting the two distributions at second order in hbar.  The dressing
+is a kernel factor of the lag y (`line_integral_dressing`) for the shared
+correlation kernel of transforms.
 """
 
 from dataclasses import dataclass, field
@@ -226,54 +225,3 @@ def gi_correction_series(f: PhaseSpaceField, A, params: PlasmaParams
     corr = (e * hbar**2 / (24 * m**3)) * d2A[:, None] * d3f
     return PhaseSpaceField(f.x, f.p, f.values + corr, mass=f.mass)
 
-
-@dataclass
-class TildeFields:
-    """Fields of the dressed kinetic equation at second order in hbar.
-
-    The base fields are E and B; the corrections are operators whose left
-    x derivatives hit the field and whose right v derivatives hit a
-    phase-space test function, all with the mixed x.v stencil structure.
-    They vanish identically for uniform fields.
-    """
-
-    E: np.ndarray
-    B: np.ndarray
-    params: PlasmaParams
-
-    def __post_init__(self):
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.E.shape[0] != 3 or self.B.shape[0] != 3:
-            raise ValueError("E and B must have three components")
-
-    def _curvature(self, f: PhaseSpaceField, field, denom) -> np.ndarray:
-        """(hbar^2 / denom m^2) (d2 field) (d2/dv2) applied to f."""
-        h, m = self.params.hbar, f.mass
-        return (h**2 / (denom * m**2)
-                * _x_derivative(f, field, 2)[:, :, None] * _v_derivative(f, 2))
-
-    def e_corr(self, f: PhaseSpaceField) -> np.ndarray:
-        """-(hbar^2/24 m^2) (d2E) (d2/dv2) applied to f, shape (3, Nx, Nv)."""
-        return self._curvature(f, self.E, -24)
-
-    def b_corr(self, f: PhaseSpaceField) -> np.ndarray:
-        """-(hbar^2/24 m^2) (d2B) (d2/dv2) applied to f."""
-        return self._curvature(f, self.B, -24)
-
-    def delta_v(self, f: PhaseSpaceField) -> np.ndarray:
-        """-(e hbar^2/12 m^3) (dB) x grad_v (d/dv) applied to f.
-
-        With f on the (x, v_x) plane the right gradient is along x_hat,
-        so the result is (dB/dx) x x_hat times d2f/dv2.
-        """
-        h, m, e = self.params.hbar, f.mass, self.params.charge
-        dB = _x_derivative(f, self.B, 1)
-        d2f = _v_derivative(f, 2)
-        xhat = np.array([1.0, 0.0, 0.0])
-        cross = np.cross(dB.T, xhat).T                  # (3, Nx)
-        return -(e * h**2 / (12 * m**3)) * cross[:, :, None] * d2f
-
-    def delta_B(self, f: PhaseSpaceField) -> np.ndarray:
-        """+(hbar^2/12 m^2) (d2B) (d2/dv2) applied to f."""
-        return self._curvature(f, self.B, 12)

@@ -12,12 +12,6 @@ gives the semiclassical transport used by the grid and particle solvers,
 so their symbolic norm measures the neglected quantum correction for a
 closed-form distribution.  Potentials are restricted to polynomials or
 single-mode trigonometric profiles in x so all derivatives are exact.
-
-The module also holds the residual of the kinetic equation in the
-hbar^2-corrected fields of the gauge-invariant transform
-(gi_kinetic_residual).  One bracket builder, sum_k c_k (d^k field/dx^k)
-(d^k g/dv_x^k) to hbar^2 or hbar^4, gives every corrected field; a split
-form transcribed term by term is the independent reference.
 """
 
 from dataclasses import dataclass
@@ -177,152 +171,3 @@ def full_equation_residual_hbar2(f_analytic, V, A, B, params: PlasmaParams,
     hbar_list = np.asarray(hbar_list, dtype=float)
     return KineticResidualReport(hbar_list, *_norms((rhs, gap), hbar_list))
 
-
-# ---------------------------------------------------------------------------
-# symbolic residual of the kinetic equation in the corrected fields
-
-_V_SYMS = (VX, VY, VZ)
-_EPS = [[[int((a - b) * (b - c) * (c - a) / 2) for c in range(3)]
-         for b in range(3)] for a in range(3)]
-
-
-def _dvx(g, n):
-    return sp.diff(g, VX, n)
-
-
-def _trace(op, grads):
-    """Sum_a op(grads[a])[a], op returning a 3-vector of expressions."""
-    return sum(op(g)[a] for a, g in enumerate(grads))
-
-
-@dataclass
-class GIResidualReport:
-    """Residual norms of the corrected-field kinetic equation per hbar."""
-
-    hbar: np.ndarray
-    quantum_norm: np.ndarray   # size of the hbar^2 corrections on f
-    regroup_gap: np.ndarray    # corrected form minus the split rearrangement
-    hbar4_norm: np.ndarray     # next-order content beyond the truncation
-
-    def slope(self) -> float:
-        return float(np.polyfit(np.log(self.hbar),
-                                np.log(self.hbar4_norm), 1)[0])
-
-    def write_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["hbar", "residual_norm", "trailing_slope"])
-            for i, h in enumerate(self.hbar):
-                lo = max(0, i - 2)
-                if i - lo >= 1 and np.all(self.hbar4_norm[lo:i + 1] > 0):
-                    sl = np.polyfit(np.log(self.hbar[lo:i + 1]),
-                                    np.log(self.hbar4_norm[lo:i + 1]), 1)[0]
-                else:
-                    sl = float("nan")
-                writer.writerow([h, self.hbar4_norm[i], sl])
-
-
-def gi_kinetic_residual(f_analytic, E, B, params: PlasmaParams,
-                        hbar_list) -> GIResidualReport:
-    """Evaluate the corrected-field kinetic operator on a closed-form f.
-
-    Builds the transport operator with the hbar^2-truncated corrected
-    fields (order 2) and with the next-order terms retained (order 4),
-    plus the split rearrangement that isolates the corrections on the
-    right-hand side.  Per hbar the report carries the norm of the hbar^2
-    content, the regrouping defect (pure algebra, expected zero), and the
-    norm of the order-4 remainder whose scaling verifies the truncation.
-    """
-    f = _closed_form_f(f_analytic)
-    E = _as_vector("E", E)
-    B = _as_vector("B", B)
-    e, m = params.charge, params.mass
-    mu_B = e * HBAR / (2 * m)
-    v = sp.Matrix([VX, VY, VZ])
-    # bracket coefficients by v-derivative order: the field curvature term
-    # of E_tilde and B_tilde, the extra Delta B term, and Delta v_tilde
-    field_coefs = {2: -(HBAR**2 / (24 * m**2)), 4: HBAR**4 / (1920 * m**4)}
-    dB_coefs = {2: HBAR**2 / (12 * m**2), 4: -(HBAR**4 / (480 * m**4))}
-    dv_coefs = {2: -(e * HBAR**2 / (12 * m**3)),
-                4: e * HBAR**4 / (480 * m**5)}
-
-    def bracket(field, coefs, order, extra_dx=0):
-        """g -> sum_{k <= order} c_k d_x^(k+extra_dx) field * d_vx^k g."""
-        return lambda g: sum((c * sp.diff(field, X, k + extra_dx) * _dvx(g, k)
-                              for k, c in coefs.items() if k <= order),
-                             sp.zeros(3, 1))
-
-    def dv_op(order):
-        """g -> sum_{k <= order} c_k d_x^(k-1) B x grad_v d_vx^(k-1) g."""
-        return lambda g: sum((c * sp.diff(B, X, k - 1).cross(
-                              _grad_v(_dvx(g, k - 1)))
-                              for k, c in dv_coefs.items() if k <= order),
-                             sp.zeros(3, 1))
-
-    dB = sp.diff(B, X)
-    gvx = _dvx(f, 1)
-    grad_f = _grad_v(f)
-    l_semi = (VX * sp.diff(f, X)
-              - (e / m) * (E + v.cross(B)).dot(grad_f)
-              - (mu_B / m) * (S_HAT.dot(dB) * gvx
-                              + dB.dot(_sphere_gradient(gvx)))
-              - (2 * mu_B / HBAR) * S_HAT.cross(B).dot(_sphere_gradient(f)))
-
-    def corrections(order):
-        """All terms the corrected fields add beyond the semiclassical
-        operator, with the sign they carry on the left-hand side."""
-        bo, dv = bracket(B, field_coefs, order), dv_op(order)
-        bo_x = bracket(B, field_coefs, order, extra_dx=1)
-        dBo = bracket(B, dB_coefs, order)
-        terms = dv(sp.diff(f, X))[0]
-        terms += -(e / m) * (_trace(bracket(E, field_coefs, order), grad_f)
-                             + _trace(lambda g: v.cross(bo(g)), grad_f)
-                             + _trace(lambda g: dv(g).cross(B), grad_f))
-        terms += -(mu_B / m) * (S_HAT.dot(bo_x(gvx))
-                                + _trace(bo_x, _sphere_gradient(gvx)))
-        terms += -(2 * mu_B / HBAR) * _trace(
-            lambda g: S_HAT.cross(bo(g) + dBo(g)), _sphere_gradient(f))
-        return terms
-
-    l82_2 = l_semi + corrections(2)
-    l82_4 = l_semi + corrections(4)
-
-    # split form, transcribed independently: the hbar^2 corrections moved
-    # to the right-hand side with flipped sign, written out term by term
-    c24 = HBAR**2 / (24 * m**2)
-    c12v = e * HBAR**2 / (12 * m**3)
-    E2, B2, B3 = sp.diff(E, X, 2), sp.diff(B, X, 2), sp.diff(B, X, 3)
-    dB1 = sp.diff(B, X, 1)
-    # streaming correction: -Delta v_tilde . grad_x f (1D: x-component)
-    r_split = c12v * dB1.cross(_grad_v(_dvx(sp.diff(f, X), 1)))[0]
-    # field corrections inside the Lorentz force
-    lorentz = 0
-    for a, va in enumerate(_V_SYMS):
-        g = sp.diff(f, va)
-        lorentz += -c24 * (E2[a] + v.cross(B2)[a]) * _dvx(g, 2)
-        dvt = -c12v * dB1.cross(_grad_v(_dvx(g, 1)))
-        lorentz += dvt.cross(B)[a]
-    r_split += (e / m) * lorentz
-    # dipole-force correction: extra x-derivative on the field bracket
-    r_split += -(mu_B / m) * c24 * (
-        S_HAT.dot(B3) * _dvx(f, 3) + B3.dot(_sphere_gradient(_dvx(f, 3))))
-    # precession correction: b_tilde plus the extra Delta B term gives a
-    # net +hbar^2/24 m^2 coefficient on the second field derivative
-    prec = 0
-    for a in range(3):
-        g = _sphere_gradient(f)[a]
-        for b in range(3):
-            for c in range(3):
-                if _EPS[a][b][c]:
-                    prec += _EPS[a][b][c] * S_HAT[b] * c24 * B2[c] * _dvx(g, 2)
-    r_split += (2 * mu_B / HBAR) * prec
-
-    regroup = l82_2 - (l_semi - r_split)
-    quantum = l82_2 - l_semi
-    order4 = l82_4 - l82_2
-
-    hbar_list = np.asarray(hbar_list, dtype=float)
-    return GIResidualReport(hbar_list,
-                            *_norms((quantum, regroup, order4), hbar_list))

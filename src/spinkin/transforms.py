@@ -108,10 +108,6 @@ class PhaseSpaceField:
     def dp(self) -> float:
         return float(self.p[1] - self.p[0])
 
-    @property
-    def v(self) -> np.ndarray:
-        return self.p / self.mass
-
     def total(self) -> float:
         return float(np.sum(self.values) * self.dx * self.dp)
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
@@ -8,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 from spinkin import gauge
 from spinkin.gauge import (
     GaugeTransformSpec,
-    TildeFields,
     _tau_average,
     _unit_phase,
     gauge_transform_state,
@@ -18,7 +16,6 @@ from spinkin.gauge import (
     line_integral_dressing,
 )
 from spinkin.grid import SpatialGrid1D
-from spinkin.kinetic_residual import PHI, THETA, VX, X, gi_kinetic_residual
 from spinkin.params import PlasmaParams
 from spinkin.pauli import (
     ExternalPotentials,
@@ -358,141 +355,3 @@ class TestCorrectionSeries:
         assert abs(cor_slope - 4.0) < 0.2
         assert all(c < r for c, r in zip(cor, raw))
 
-
-class TestTildeFields:
-    def make_f(self, grid, params, n_v=128, v_max=6.0):
-        v = -v_max + 2 * v_max / n_v * np.arange(n_v)
-        vals = ((1 + 0.3 * np.cos(grid.x))[:, None]
-                * np.exp(-v[None, :] ** 2 / 2))
-        return PhaseSpaceField(grid.x, params.mass * v, vals, params.mass)
-
-    def oracle(self, field_row, f, params, kind, grid):
-        """Exact shifted-argument operator via Gauss tau quadrature and a
-        double FFT (x modes of the field, v modes of the distribution)."""
-        h, m, e = params.hbar, f.mass, params.charge
-        nodes, w = leggauss(32)
-        nodes, w = nodes / 2.0, w / 2.0
-        nv = len(f.p)
-        eta = 2 * np.pi * np.fft.fftfreq(nv, f.dp / m)
-        c = np.fft.fft(field_row) / grid.n
-        keep = np.abs(c) > 1e-13 * np.max(np.abs(c))
-        fhat = np.fft.fft(f.values, axis=1)
-        out = np.zeros((grid.n, nv), dtype=complex)
-        for ck, kk in zip(c[keep], grid.k[keep]):
-            a = -(h / m) * kk * eta
-            ta = np.multiply.outer(nodes, a)
-            if kind == "field":
-                mult = w @ np.cos(ta) - 1.0
-            elif kind == "delta_B":
-                mult = a * ((w * nodes) @ np.sin(ta))
-            else:  # delta_v, y-component for B along z
-                mult = -(e * h / m**2) * ((w * nodes) @ np.sin(ta)) * (1j * eta)
-            out += (ck * np.exp(1j * kk * grid.x)[:, None]
-                    * np.fft.ifft(mult[None, :] * fhat, axis=1))
-        return out.real
-
-    def test_uniform_fields_give_zero(self):
-        grid = SpatialGrid1D(64, 2 * np.pi)
-        f = self.make_f(grid, PARAMS)
-        E = np.zeros((3, grid.n))
-        E[0] = 0.5
-        B = np.zeros((3, grid.n))
-        B[2] = 1.2
-        tf = TildeFields(E, B, PARAMS)
-        for arr in (tf.e_corr(f), tf.b_corr(f), tf.delta_v(f), tf.delta_B(f)):
-            assert np.max(np.abs(arr)) < 1e-13
-
-    def test_truncation_matches_exact_operator_to_fourth_order(self):
-        grid = SpatialGrid1D(64, 2 * np.pi)
-        errs = {"field": [], "delta_B": [], "delta_v": []}
-        hbars = [0.4, 0.2, 0.1]
-        for h in hbars:
-            P = PlasmaParams(hbar=h)
-            f = self.make_f(grid, P)
-            E = np.zeros((3, grid.n))
-            E[0] = 0.7 * np.cos(grid.x)
-            B = np.zeros((3, grid.n))
-            B[2] = 0.5 * np.cos(2 * grid.x)
-            tf = TildeFields(E, B, P)
-            errs["field"].append(np.max(np.abs(
-                tf.e_corr(f)[0] - self.oracle(E[0], f, P, "field", grid))))
-            errs["delta_B"].append(np.max(np.abs(
-                tf.delta_B(f)[2] - self.oracle(B[2], f, P, "delta_B", grid))))
-            errs["delta_v"].append(np.max(np.abs(
-                tf.delta_v(f)[1] - self.oracle(B[2], f, P, "delta_v", grid))))
-        for key, e in errs.items():
-            slopes = np.log2(np.array(e[:-1]) / np.array(e[1:]))
-            assert np.all(np.abs(slopes - 4.0) < 0.3), (key, slopes)
-
-    def test_component_count_checked(self):
-        with pytest.raises(ValueError, match="three components"):
-            TildeFields(np.zeros((2, 8)), np.zeros((3, 8)), PARAMS)
-
-
-F_TEST = (sp.exp(-X**2 - VX**2)
-          * (1 + sp.Rational(1, 2) * sp.sin(THETA) * sp.cos(PHI)))
-
-
-class TestCorrectedEquationResidual:
-    def test_uniform_fields_annihilate_corrections(self):
-        rep = gi_kinetic_residual(F_TEST, (0.3, 0, 0), (0, 0, 1.1), PARAMS,
-                                  [0.1, 0.2, 0.4])
-        assert np.all(rep.quantum_norm < 1e-13)
-        assert np.all(rep.regroup_gap < 1e-13)
-        assert np.all(rep.hbar4_norm < 1e-13)
-
-    def test_single_mode_field_scaling_and_regrouping(self, tmp_path):
-        hbars = [0.1, 0.141, 0.2, 0.283, 0.4]
-        rep = gi_kinetic_residual(F_TEST, (0, 0, 0), (0, sp.sin(2 * X), 0),
-                                  PARAMS, hbars)
-        assert np.all(rep.quantum_norm > 0)
-        assert np.all(rep.regroup_gap < 1e-12)
-        assert rep.slope() >= 3.8
-        path = tmp_path / "residual.csv"
-        rep.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "hbar,residual_norm,trailing_slope"
-        assert len(lines) == 1 + len(hbars)
-        last = lines[-1].split(",")
-        assert abs(float(last[0]) - 0.4) < 1e-12
-        assert abs(float(last[2]) - 4.0) < 0.3
-
-    def test_fourth_order_coefficients_pinned(self):
-        # hbar4_norm carries the 1/1920 and 1/480 coefficients of the
-        # next-order brackets; quantum_norm the hbar^2 ones
-        rep = gi_kinetic_residual(F_TEST, (sp.cos(X), 0, 0),
-                                  (0.3, sp.sin(X), X**2), PARAMS,
-                                  [0.1, 0.2, 0.4])
-        np.testing.assert_allclose(
-            rep.hbar4_norm,
-            [4.596081789705279e-06, 7.341123408519969e-05,
-             1.1705453597605799e-03], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            rep.quantum_norm,
-            [7.568062448064441e-03, 3.019140858713282e-02,
-             1.2011890470753218e-01], rtol=1e-12, atol=0)
-
-    def test_unsupported_field_family_rejected(self):
-        with pytest.raises(ValueError):
-            gi_kinetic_residual(F_TEST, (0, 0, 0), (0, sp.exp(X), 0),
-                                PARAMS, [0.1])
-
-    def test_extra_symbol_in_f_rejected_before_building(self, monkeypatch):
-        import spinkin.kinetic_residual as kr
-
-        def no_build(*args):
-            raise AssertionError("the symbolic build started")
-
-        monkeypatch.setattr(kr, "_as_vector", no_build)
-        with pytest.raises(ValueError, match=r"f_analytic may depend on "
-                                             r"\(x, v, theta, phi\) only"):
-            gi_kinetic_residual(F_TEST * sp.Symbol("q"), (0, 0, 0),
-                                (0, sp.sin(X), 0), PARAMS, [0.1])
-
-    @pytest.mark.parametrize("E, B", [((0, 0), (0, 0, 1)),
-                                      ((0, 0, 0), (0, 0, 1, 0))])
-    def test_field_component_count_checked(self, E, B):
-        name = "E" if len(E) != 3 else "B"
-        with pytest.raises(ValueError,
-                           match=f"{name} must have three components"):
-            gi_kinetic_residual(F_TEST, E, B, PARAMS, [0.1])

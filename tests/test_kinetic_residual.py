@@ -75,3 +75,46 @@ class TestRejection:
         with pytest.raises(ValueError):
             full_equation_residual_hbar2(
                 F_TEST, X * VX, (0, 0, 0), (0, 0, 1), PARAMS, [0.1])
+
+    def test_exponential_field_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unsupported potential family for B"):
+            full_equation_residual_hbar2(
+                F_TEST, sp.Integer(0), (0, 0, 0), (0, sp.exp(X), 0),
+                PARAMS, [0.1])
+
+    def test_extra_symbol_in_f_rejected_before_building(self, monkeypatch):
+        import spinkin.kinetic_residual as kr
+
+        def no_build(*args):
+            raise AssertionError("the symbolic build started")
+
+        monkeypatch.setattr(kr, "_as_vector", no_build)
+        with pytest.raises(ValueError, match=r"f_analytic may depend on "
+                                             r"\(x, v, theta, phi\) only"):
+            full_equation_residual_hbar2(
+                F_TEST * sp.Symbol("q"), sp.Integer(0), (0, 0, 0),
+                (0, sp.sin(X), 0), PARAMS, [0.1])
+
+    @pytest.mark.parametrize("A, B", [((0, 0), (0, 0, 1)),
+                                      ((0, 0, 0), (0, 0, 1, 0))])
+    def test_field_component_count_checked(self, A, B):
+        name = "A" if len(A) != 3 else "B"
+        with pytest.raises(ValueError,
+                           match=f"{name} must have three components"):
+            full_equation_residual_hbar2(
+                F_TEST, sp.Integer(0), A, B, PARAMS, [0.1])
+
+
+class TestCriterion7Pinned:
+    def test_rhs_norm_pinned(self):
+        # every bracket term is live: V and A_x curve, B has a uniform,
+        # a single-mode and a quadratic component
+        rep = full_equation_residual_hbar2(
+            F_TEST, sp.cos(X), (sp.cos(X), 0, 0), (0.3, sp.sin(X), X**2),
+            PARAMS, [0.1, 0.2, 0.4])
+        np.testing.assert_allclose(
+            rep.rhs_norm,
+            [1.0089455489504304e-02, 4.0237694870421926e-02,
+             1.5998976278092544e-01], rtol=1e-12, atol=0)
+        assert np.all(rep.lhs_gap == 0.0)
