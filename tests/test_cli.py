@@ -49,6 +49,10 @@ class TestRun:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_missing_command_returns_two(self, capsys):
+        assert main([]) == 2
+        assert "required" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--config" in capsys.readouterr().out

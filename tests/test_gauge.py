@@ -329,6 +329,25 @@ class TestCorrectionSeries:
             out = gi_correction_series(f, A, PARAMS)
             assert np.max(np.abs(out.values - f.values)) < 1e-13
 
+    @pytest.mark.parametrize("mass", [1.0, 2.0])
+    def test_matches_closed_form(self, mass):
+        # f = g(x) exp(-v^2/2) and A = a cos(kx): the correction is
+        # (e hbar^2 / 24 m^3) (-a k^2 cos kx) g(x) (3v - v^3) exp(-v^2/2)
+        P = PlasmaParams(mass=mass, hbar=0.3)
+        grid = SpatialGrid1D(64, 2 * np.pi)
+        v = np.linspace(-8, 8, 129)[:-1]
+        g = 1 + 0.3 * np.sin(grid.x)
+        gauss = np.exp(-v**2 / 2)
+        f = PhaseSpaceField(grid.x, mass * v, g[:, None] * gauss[None, :],
+                            mass)
+        a, k = 0.7, 2.0
+        out = gi_correction_series(f, a * np.cos(k * grid.x), P)
+        expect = (P.charge * P.hbar**2 / (24 * mass**3)
+                  * (-a * k**2 * np.cos(k * grid.x) * g)[:, None]
+                  * ((3 * v - v**3) * gauss)[None, :])
+        corr = out.values - f.values
+        assert np.max(np.abs(corr - expect)) < 1e-10 * np.max(np.abs(expect))
+
     def test_hbar_scaling_against_dressed_transform(self):
         # states of fixed velocity-space width: the packet width follows
         # hbar so the series terms scale as pure powers of hbar

@@ -46,6 +46,21 @@ class TestScaling:
         assert np.all(rep.rhs_norm > 0)
         assert abs(rep.slope() - 2.0) < 0.1
 
+    def test_single_mode_vector_potential_scales_as_hbar_squared(self):
+        # V = 0 and B = 0: both brackets act through A alone
+        rep = full_equation_residual_hbar2(
+            F_TEST, sp.Integer(0), (sp.cos(X), 0, 0), (0, 0, 0), PARAMS,
+            HBARS)
+        assert np.all(rep.rhs_norm > 0)
+        assert abs(rep.slope() - 2.0) < 0.1
+
+    def test_rhs_norm_linear_in_scalar_potential(self):
+        once, twice = (full_equation_residual_hbar2(
+            F_TEST, c * sp.cos(X), (0, 0, 0), (0, 0, 0), PARAMS, HBARS)
+            for c in (1, 2))
+        np.testing.assert_allclose(twice.rhs_norm, 2 * once.rhs_norm,
+                                   rtol=1e-12, atol=0)
+
 
 class TestRegroupingIdentity:
     def test_gap_zero_for_nonuniform_field(self):
@@ -81,6 +96,18 @@ class TestRejection:
                            match="unsupported potential family for B"):
             full_equation_residual_hbar2(
                 F_TEST, sp.Integer(0), (0, 0, 0), (0, sp.exp(X), 0),
+                PARAMS, [0.1])
+
+    def test_velocity_dependent_vector_potential_rejected(self):
+        with pytest.raises(ValueError, match="A may depend on x only"):
+            full_equation_residual_hbar2(
+                F_TEST, sp.Integer(0), (VX, 0, 0), (0, 0, 1), PARAMS, [0.1])
+
+    def test_nonlinear_trig_field_rejected(self):
+        with pytest.raises(ValueError, match="B: trigonometric arguments "
+                                             "must be linear in x"):
+            full_equation_residual_hbar2(
+                F_TEST, sp.Integer(0), (0, 0, 0), (0, sp.sin(X**2), 0),
                 PARAMS, [0.1])
 
     def test_extra_symbol_in_f_rejected_before_building(self, monkeypatch):
