@@ -8,15 +8,26 @@ the local magnetic field by one path for every direction of B:
 Legendre-kernel resampling at the rotated nodes (the addition-theorem
 form of spherical-harmonic interpolation, see
 `SphereQuadrature.rotation_interp_matrices`, which keeps the stack of the
-most recent field, so a static B builds it once).  The quantum term's
-sphere gradient is `SphereQuadrature.gradient_along`.  Velocity space is
-1V (electrostatic) or 2V (magnetized, B along z).
+most recent field, so a static B builds it once).  Velocity space is 1V
+(electrostatic) or 2V (magnetized, B along z).
+
+The quantum term G . grad_s f, G = (mu_B/m) d_x B, is posed on the
+spin-1/2 distribution, which the paper's projector (1 + s_hat . sigma)/4 pi
+makes exactly l <= 1: f = (F0 + 3 s_hat . F)/4 pi.  With the term on, a
+step projects its input onto l <= 1 (on the sphere grid the l >= 2 part
+would grow without bound under this term) and takes the term in closed
+form from the moments (F0, F), (3/4 pi)[G . F - (G . s_hat)(s_hat . F)];
+`quantum_term_increment` keeps the sphere-gradient form
+(`SphereQuadrature.gradient_along`) as its oracle.
 
 Each sweep runs over cache-sized blocks of lines that share one work
 buffer per call (padded block, work arrays and slopes).  A step allocates
-one f-sized array of its own, its output (plus the quantum increment when
-that term is on): the first x half-sweep writes it, and every later sweep
-and the sphere rotation update it in place.
+one f-sized array of its own, its output: the first x half-sweep writes it
+(with the quantum term on, the projection writes it and the x half-sweep
+updates it), and every later sweep, the quantum increment (added in
+blocks of x nodes) and the sphere rotation update it in place.  Beyond
+that a step holds only block buffers and arrays over (x, sphere node) or
+over (x, v) cells.
 """
 
 from dataclasses import dataclass
@@ -226,18 +237,58 @@ def _rotate_sphere(values, quad: SphereQuadrature, B_nodes, params, dt):
     return values
 
 
-def _quantum_increment(f: ExtendedDistribution, dB_nodes, params, dt):
-    """dt d_v[(mu_B/m)(d_x B . grad_s) f], the explicit quantum term, with
-    d_v the centered difference and f = 0 beyond the v axis."""
-    lead = (f.grid.n, *([1] * len(f.v_axes)), 3)
-    scale = dt * params.mu_B / (2 * f.dv[0] * params.mass)
-    flux = f.quad.gradient_along(scale * dB_nodes.T.reshape(lead), f.values)
-    out = np.empty_like(flux)
-    np.subtract(flux[:, 2:], flux[:, :-2], out=out[:, 1:-1])
-    out[:, 0] = flux[:, 1]
-    # 0 - flux, not -flux: a zero flux leaves +0 at the edge
-    np.subtract(0.0, flux[:, -2], out=out[:, -1])
-    return out
+def _project_l1(values, quad: SphereQuadrature, out):
+    """Project f onto l <= 1 over the sphere, into out; returns (F0, F).
+
+    Per cell, one product with the (n_nodes, 4) table [w, w s_hat] gives
+    F0 = int f dOmega and F = int s_hat f dOmega, and out receives
+    f = (F0 + 3 s_hat . F)/4 pi.  The quadrature is exact on l <= 1, so the
+    projection keeps (F0, F) and is idempotent.  The moments have shape
+    values.shape[:-2] + (4,).
+    """
+    nodes = quad.n_theta * quad.n_phi
+    s = quad.s_hat.reshape(nodes, 3)
+    w = quad.weights.reshape(nodes, 1)
+    moments = values.reshape(-1, nodes) @ np.hstack([w, w * s])
+    basis = np.hstack([np.ones((nodes, 1)), 3 * s]).T / (4 * np.pi)
+    np.matmul(moments, basis, out=out.reshape(-1, nodes))
+    return moments.reshape(*values.shape[:-2], 4)
+
+
+def _closed_form_increment(F, quad: SphereQuadrature, dB_nodes, params, dt,
+                           dv):
+    """The quantum increment on f = (F0 + 3 s_hat . F)/4 pi, factored.
+
+    dt D_v[G . grad_s f], with D_v the centered difference along v_x (f = 0
+    beyond the v axis) and G = (mu_B/m) d_x B, is
+    (3/4 pi)[G . dF - (G . s_hat)(s_hat . dF)] for dF = D_v F.  Returned as
+    (dF, K) with the increment dF[x] @ K[x] at each x node: dF has shape
+    (N_x, velocity cells, 3) and K = (3/4 pi)(G - s_hat (s_hat . G)) dt /
+    (2 dv) has shape (N_x, 3, n_nodes).  F has shape (N_x, N_v[, N_vy], 3).
+    """
+    dF = np.empty(F.shape)
+    np.subtract(F[:, 2:], F[:, :-2], out=dF[:, 1:-1])
+    dF[:, 0] = F[:, 1]
+    # 0 - F, not -F: a zero moment leaves +0 at the edge
+    np.subtract(0.0, F[:, -2], out=dF[:, -1])
+    G = (dt * params.mu_B / (2 * dv * params.mass)) * dB_nodes.T
+    s = quad.s_hat.reshape(-1, 3)
+    K = G[:, :, None] - s.T * (G @ s.T)[:, None, :]
+    K *= 3 / (4 * np.pi)
+    return dF.reshape(len(F), -1, 3), K
+
+
+def _add_increment(values, dF, K):
+    """values += dF @ K node by node, in blocks of x nodes through one block
+    buffer, so no f-sized increment is formed; returns values."""
+    flat = values.reshape(len(K), -1, K.shape[-1])
+    step = max(1, _BLOCK_CELLS // flat[0].size)
+    buf = np.empty((min(step, len(K)), *flat.shape[1:]))
+    for x in range(0, len(K), step):
+        block = flat[x:x + step]
+        block += np.matmul(dF[x:x + step], K[x:x + step],
+                           out=buf[:len(block)])
+    return values
 
 
 def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
@@ -247,7 +298,8 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
     Sweep order: half x, half v (with the quantum spin-velocity coupling
     when enabled), full spin rotation, half v, half x.  The first x sweep
     writes the output and the later stages update it in place; f is not
-    written.
+    written.  With the quantum term on, the step advances f's l <= 1
+    projection, which the output holds before the first x sweep.
     """
     grid = f.grid
     e, m = params.charge, params.mass
@@ -293,18 +345,24 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
                            periodic=True, out=out)
 
     # the quantum spin-velocity flux is explicit: evaluated once on the
-    # step input, so a distribution with no s_hat dependence is untouched
+    # step input's l <= 1 projection, which the output buffer holds, so a
+    # distribution with no s_hat dependence is untouched
     if quantum_term:
-        q_inc = _quantum_increment(f, dB, params, dt / 2)
+        vals = np.empty(f.values.shape)
+        moments = _project_l1(f.values, f.quad, vals)
+        dF, K = _closed_form_increment(moments[..., 1:], f.quad, dB, params,
+                                       dt / 2, dvs[0])
+        x_half(vals, vals)
+    else:
+        vals = x_half(f.values, None)
 
     def v_half(vals):
         advect_axis(vals, 1, a_x, dt / 2, dvs[0], limiter, out=vals)
         if two_v:
             advect_axis(vals, 2, a_y, dt / 2, dvs[1], limiter, out=vals)
         if quantum_term:
-            vals += q_inc
+            _add_increment(vals, dF, K)
 
-    vals = x_half(f.values, None)
     v_half(vals)
     _rotate_sphere(vals, f.quad, fs.B, params, dt)
     v_half(vals)
@@ -314,5 +372,18 @@ def eulerian_step(f: ExtendedDistribution, fs: FieldState, params: PlasmaParams,
 
 def quantum_term_increment(f: ExtendedDistribution, fs: FieldState,
                            params: PlasmaParams, dt) -> np.ndarray:
-    """The explicit quantum term of `eulerian_step` over dt."""
-    return _quantum_increment(f, fs.db_nodes(), params, dt)
+    """The sphere-gradient oracle of `eulerian_step`'s closed-form quantum
+    increment: dt D_v[(mu_B/m)(d_x B . grad_s) f] with grad_s f from
+    `SphereQuadrature.gradient_along` on every node, D_v the centered
+    difference and f = 0 beyond the v axis.  On l <= 1 f it equals the
+    increment a step adds over dt."""
+    lead = (f.grid.n, *([1] * len(f.v_axes)), 3)
+    scale = dt * params.mu_B / (2 * f.dv[0] * params.mass)
+    flux = f.quad.gradient_along(scale * fs.db_nodes().T.reshape(lead),
+                                 f.values)
+    out = np.empty_like(flux)
+    np.subtract(flux[:, 2:], flux[:, :-2], out=out[:, 1:-1])
+    out[:, 0] = flux[:, 1]
+    # 0 - flux, not -flux: a zero flux leaves +0 at the edge
+    np.subtract(0.0, flux[:, -2], out=out[:, -1])
+    return out
