@@ -64,7 +64,6 @@ class FluidMoments:
     F_spin: np.ndarray       # (N,) spin force density, x component
     Omega_spin: np.ndarray   # (3, N) nonlinear spin fluid correction
     terms: dict = field(default_factory=dict)
-    masked_fraction: float = 0.0
 
 
 def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
@@ -72,8 +71,8 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     """Assemble all fluid moments of the ensemble on the grid.
 
     Averages are density weighted, <X> = sum_a P_a n_a X_a / n.  Ratios
-    that need 1/n_a clamp n_a to MEMBER_DENSITY_FLOOR_REL * max n_a; the
-    returned masked_fraction reports how many points were clamped.
+    that need 1/n_a clamp n_a to MEMBER_DENSITY_FLOOR_REL * max n_a, which
+    keeps them finite where a member vanishes.
     """
     grid = ens.grid
     if pot.grid != grid:
@@ -85,10 +84,6 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     n = sum(p * f[0] for p, f in zip(P, fields))
     v = sum(p * f[1] for p, f in zip(P, fields)) / n
     S = sum(p * f[2] for p, f in zip(P, fields)) / n
-
-    masked = sum(int(np.sum(f[0] < MEMBER_DENSITY_FLOOR_REL * f[0].max()))
-                 for f in fields)
-    masked_fraction = masked / (len(fields) * grid.n)
 
     dS = grid.derivative(S)
     pressure = np.zeros(grid.n)
@@ -127,25 +122,14 @@ def ensemble_moments(ens: WavefunctionEnsemble, pot: ExternalPotentials,
     terms = dict(F_spin_zeeman=f1, F_spin_gradient=f2, F_spin_cross=f3,
                  Omega_spin_mean=o1, Omega_spin_mixed=o2, Omega_spin_dev=omega3)
     return FluidMoments(grid, n, v, S, pressure, K, Sigma, Sigma_tilde,
-                        F_spin, Omega_spin, terms, masked_fraction)
+                        F_spin, Omega_spin, terms)
 
 
-def ensemble_bohm_force(ens: WavefunctionEnsemble, params: PlasmaParams,
-                        form="exact"):
-    """Quantum force density of the ensemble.
-
-    form='exact' keeps the member sum (hbar^2/2m) sum_a P_a n_a
-    d/dx[(d^2 sqrt(n_a)/dx^2)/sqrt(n_a)]; form='collective' evaluates the
-    long-wavelength surrogate with the total density.
-    """
+def ensemble_bohm_force(ens: WavefunctionEnsemble, params: PlasmaParams):
+    """Quantum force density of the ensemble, the member sum
+    (hbar^2/2m) sum_a P_a n_a d/dx[(d^2 sqrt(n_a)/dx^2)/sqrt(n_a)]."""
     grid = ens.grid
     pref = params.hbar**2 / (2 * params.mass)
-    if form == "collective":
-        n = sum(p * m.density() for p, m in zip(ens.probabilities, ens.members))
-        sq = np.sqrt(n)
-        return pref * n * grid.derivative(grid.derivative(sq, order=2) / sq)
-    if form != "exact":
-        raise ValueError("form must be 'exact' or 'collective'")
     out = np.zeros(grid.n)
     for p, m in zip(ens.probabilities, ens.members):
         n_a = m.density()
@@ -158,7 +142,6 @@ def ensemble_bohm_force(ens: WavefunctionEnsemble, params: PlasmaParams,
 class ResidualReport:
     """Residuals of the averaged fluid equations at interior time levels."""
 
-    times: np.ndarray
     continuity: list      # arrays (N,)
     momentum: list        # arrays (N,)
     spin: list            # arrays (3, N)
@@ -171,14 +154,13 @@ class ResidualReport:
 
 
 def averaged_equation_residual(times, ensembles, pot: ExternalPotentials,
-                               params: PlasmaParams,
-                               bohm_form="exact") -> ResidualReport:
-    """Residual fields of the averaged continuity, momentum and spin equations.
+                               params: PlasmaParams) -> ResidualReport:
+    """Residual fields of the averaged continuity, momentum and spin
+    equations, one per interior time level.
 
     Time derivatives are centered differences on the (uniform) output
     cadence, so residuals of an exact trajectory shrink at second order in
-    the cadence.  bohm_form selects the quantum force evaluation, see
-    ensemble_bohm_force.
+    the cadence.  The quantum force is ensemble_bohm_force's member sum.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3 or len(ensembles) != len(times):
@@ -196,7 +178,7 @@ def averaged_equation_residual(times, ensembles, pot: ExternalPotentials,
     A = pot.A
     v_cross_B_x = (e_charge / m) * (A[1] * pot.B[2] - A[2] * pot.B[1])
 
-    out_t, res_c, res_m, res_s = [], [], [], []
+    res_c, res_m, res_s = [], [], []
     for i in range(1, len(times) - 1):
         prev_, cur, next_ = mom[i - 1], mom[i], mom[i + 1]
         dn_dt = (next_.n - prev_.n) / (2 * dt)
@@ -205,7 +187,7 @@ def averaged_equation_residual(times, ensembles, pot: ExternalPotentials,
 
         res_c.append(dn_dt + grid.derivative(cur.n * cur.v))
 
-        bohm = ensemble_bohm_force(ensembles[i], params, bohm_form)
+        bohm = ensemble_bohm_force(ensembles[i], params)
         lhs_m = m * cur.n * (dv_dt + cur.v * grid.derivative(cur.v))
         rhs_m = (-e_charge * cur.n * (E_x + v_cross_B_x) - grid.derivative(cur.pressure)
                  + bohm + cur.F_spin)
@@ -215,6 +197,5 @@ def averaged_equation_residual(times, ensembles, pot: ExternalPotentials,
         torque = (2 * params.mu_B * cur.n / params.hbar) * np.cross(pot.B.T, cur.S.T).T
         rhs_s = torque - grid.derivative(cur.K) + cur.Omega_spin
         res_s.append(lhs_s - rhs_s)
-        out_t.append(times[i])
 
-    return ResidualReport(np.array(out_t), res_c, res_m, res_s)
+    return ResidualReport(res_c, res_m, res_s)

@@ -18,8 +18,6 @@ from .grid import SpatialGrid1D
 from .params import PlasmaParams
 from .transforms import SIGMA
 
-DENSITY_MASK_REL = 1e-12
-
 
 @dataclass
 class SpinorField:
@@ -233,22 +231,6 @@ def spinor_moments(state: SpinorField, A_x, params: PlasmaParams):
     ns = (params.hbar / 2) * np.einsum("in,aij,jn->an", state.psi.conj(), SIGMA,
                                        state.psi).real
     return state.density(), current / params.mass, ns
-
-
-def spinor_observables(state: SpinorField, pot: ExternalPotentials,
-                       params: PlasmaParams):
-    """Density, velocity and spin density (n, v, s) with low-density masking.
-
-    v uses the probability-current form, well defined wherever n > 0;
-    s = (hbar/2) psi^dag sigma psi / n.  Points with n below
-    DENSITY_MASK_REL * max(n) are returned as NaN in v and s.
-    """
-    n, nv, ns = spinor_moments(state, pot.A[0], params)
-    mask = n < DENSITY_MASK_REL * n.max()
-    safe_n = np.where(mask, 1.0, n)
-    v = np.where(mask, np.nan, nv / safe_n)
-    s = np.where(mask[None, :], np.nan, ns / safe_n[None, :])
-    return n, v, s
 
 
 def energy(state: SpinorField, pot: ExternalPotentials, params: PlasmaParams) -> float:

@@ -60,7 +60,7 @@ class WaveFunction1D:
 
 @dataclass
 class DensityMatrixSpin:
-    """2x2 spin density matrix with validity checks."""
+    """2x2 spin density matrix."""
 
     rho: np.ndarray
 
@@ -68,15 +68,6 @@ class DensityMatrixSpin:
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (2, 2):
             raise ValueError("spin density matrix must be 2x2")
-
-    def validate(self):
-        if np.max(np.abs(self.rho - self.rho.conj().T)) >= 1e-14:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) >= 1e-14:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(self.rho).min() < -1e-12:
-            raise ValueError("density matrix is not positive semidefinite")
-        return self
 
     @classmethod
     def from_bloch(cls, vec):
@@ -107,9 +98,6 @@ class PhaseSpaceField:
     @property
     def dp(self) -> float:
         return float(self.p[1] - self.p[0])
-
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.dx * self.dp)
 
 
 @dataclass
@@ -228,33 +216,20 @@ def phase_space_correlation(psi, grid: SpatialGrid1D, p_axis, hbar, ops,
     return out
 
 
-def wigner_transform(psi: WaveFunction1D, params: PlasmaParams,
-                     n_v=None, v_max=None) -> PhaseSpaceField:
-    """Discrete Wigner transform on the periodic domain.
+def wigner_transform(psi: WaveFunction1D, params: PlasmaParams) -> PhaseSpaceField:
+    """Discrete Wigner transform on the conjugate momentum axis.
 
     f(x, p) = (1/2 pi hbar) * sum_y exp(-i p y / hbar) psi(x + y/2) psi*(x - y/2) dy,
-    the single-component case of phase_space_correlation.  On the conjugate
-    momentum axis the x- and p-marginals reproduce |psi|^2 and |psi_tilde|^2
-    identically for band-limited states.
+    the single-component case of phase_space_correlation on
+    p = conjugate_momentum_axis(grid, hbar), where the x- and p-marginals
+    reproduce |psi|^2 and |psi_tilde|^2 identically for band-limited
+    states.  Another momentum axis is phase_space_correlation's p_axis.
     """
     grid = psi.grid
     hbar = params.hbar
     if abs(psi.norm() - 1.0) > 1e-8:
         raise ValueError(f"wavefunction is not normalized (norm = {psi.norm():.6g})")
-
-    if v_max is None:
-        p_axis = conjugate_momentum_axis(grid, hbar)
-        if n_v is not None and n_v != grid.n:
-            raise ValueError("custom n_v requires v_max as well")
-    else:
-        if not v_max > 0:
-            raise ValueError(f"v_max must be positive, got {v_max}")
-        n_v = grid.n if n_v is None else n_v
-        if n_v % 2 != 0:
-            raise ValueError("n_v must be even")
-        p_max = params.mass * v_max
-        p_axis = -p_max + 2.0 * p_max / n_v * np.arange(n_v)
-
+    p_axis = conjugate_momentum_axis(grid, hbar)
     values = phase_space_correlation(psi.psi[None], grid, p_axis, hbar,
                                      [[[1.0]]])[0]
     return PhaseSpaceField(x=grid.x, p=p_axis, values=values, mass=params.mass)
@@ -265,14 +240,6 @@ def marginals(f: PhaseSpaceField):
     density_x = np.sum(f.values, axis=1) * f.dp
     density_p = np.sum(f.values, axis=0) * f.dx
     return (f.x, density_x), (f.p, density_p)
-
-
-def expect_phase_space(f: PhaseSpaceField, symbol) -> float:
-    """Phase-space average of a symbol sampled on the same grid."""
-    symbol = np.asarray(symbol, dtype=float)
-    if symbol.shape != f.values.shape:
-        raise ValueError(f"symbol shape {symbol.shape} does not match field shape {f.values.shape}")
-    return float(np.sum(symbol * f.values) * f.dx * f.dp)
 
 
 def spin_q_transform(rho, quad: SphereQuadrature) -> SpinDistribution:

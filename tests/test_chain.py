@@ -5,34 +5,52 @@ is the Poisson bracket, so the spin transform of the Pauli solution equals
 the classical map of the initial transform: a free packet in a uniform B_z
 drifts at p/m in x and its spin vector precesses about z.  This makes
 `step_pauli` and the correlation kernel check each other.
+
+Stage 2: the Eulerian solver carries the same handoff.  The initial
+transform, as f = (w_0 + s_hat . w)/4 pi on the conjugate axis v = p/m,
+is evolved by `eulerian_step`; its moments (F0, 3F) must approach the
+Pauli transform at the solver's second order.
 """
 
 import numpy as np
 
+from spinkin.eulerian import ExtendedDistribution, eulerian_step
+from spinkin.fields import external_profiles
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.pauli import ExternalPotentials, init_state, step_pauli
 from spinkin.rotation import rodrigues_rotate
+from spinkin.sphere import SphereQuadrature
 from spinkin.transforms import (SPIN_BASIS, conjugate_momentum_axis,
                                 phase_space_correlation)
 
 
-def test_transform_commutes_with_free_precessing_evolution():
-    params = PlasmaParams(hbar=0.25)
-    grid = SpatialGrid1D(256, 32.0)
-    B_z, dt, steps = 0.7, 0.005, 1000
-    t = dt * steps
+PARAMS = PlasmaParams(hbar=0.25)
+B_Z, DT, STEPS = 0.7, 0.005, 1000
+
+
+def _pauli_transforms(n):
+    """The free packet in uniform B_z on n points of L = 32, evolved by
+    step_pauli to t = DT * STEPS: (grid, p, w at t = 0, w at t, psi at t)
+    with w the SPIN_BASIS transform on the conjugate axis p."""
+    grid = SpatialGrid1D(n, 32.0)
     # phase gradient 1.2 is momentum 0.3 at hbar = 0.25
     psi = init_state("gaussian", dict(x0=16.0, width=1.5, p0=1.2,
                                       theta0=1.1, phi0=0.4), grid)
     B = np.zeros((3, grid.n))
-    B[2] = B_z
+    B[2] = B_Z
     pot = ExternalPotentials(grid, B=B)
-    p = conjugate_momentum_axis(grid, params.hbar)
-    w0 = phase_space_correlation(psi.psi, grid, p, params.hbar, SPIN_BASIS)
-    for _ in range(steps):
-        psi = step_pauli(psi, pot, params, dt)
-    w_t = phase_space_correlation(psi.psi, grid, p, params.hbar, SPIN_BASIS)
+    p = conjugate_momentum_axis(grid, PARAMS.hbar)
+    w0 = phase_space_correlation(psi.psi, grid, p, PARAMS.hbar, SPIN_BASIS)
+    for _ in range(STEPS):
+        psi = step_pauli(psi, pot, PARAMS, DT)
+    w_t = phase_space_correlation(psi.psi, grid, p, PARAMS.hbar, SPIN_BASIS)
+    return grid, p, w0, w_t, psi
+
+
+def test_transform_commutes_with_free_precessing_evolution():
+    grid, p, w0, w_t, psi = _pauli_transforms(256)
+    t = DT * STEPS
 
     # domain condition: the periodic kernel truncates the lag correlation
     # at |y| = L/2, so the packet must not correlate with itself there
@@ -44,11 +62,41 @@ def test_transform_commutes_with_free_precessing_evolution():
 
     # classical map: each p column shifted spectrally by p t / m in x, the
     # spin vector rotated about z by +2 mu_B B t / hbar
-    shift = np.exp(-1j * grid.k[:, None] * p[None, :] * t / params.mass)
+    shift = np.exp(-1j * grid.k[:, None] * p[None, :] * t / PARAMS.mass)
     mapped = np.fft.ifft(np.fft.fft(w0, axis=1) * shift, axis=1).real
-    angle = 2 * params.mu_B * B_z * t / params.hbar
+    angle = 2 * PARAMS.mu_B * B_Z * t / PARAMS.hbar
     spin = rodrigues_rotate(np.moveaxis(mapped[1:], 0, -1), [0.0, 0.0, 1.0],
                             angle)
     mapped[1:] = np.moveaxis(spin, -1, 0)
     rel = np.max(np.abs(w_t - mapped)) / np.max(np.abs(w_t))
     assert rel < 1e-10       # 4.3e-11 measured; the opposite sign gives 0.58
+
+
+def _eulerian_gap(n):
+    """max |(F0, 3F) - w| / max |w| at t = 5 on n points: the unlimited
+    Eulerian solution of the initial transform against the Pauli
+    solution's transform."""
+    grid, p, w0, w_t, _ = _pauli_transforms(n)
+    t_end = DT * STEPS
+    # f is l <= 1 and B uniform, so a 2 x 4 sphere is exact (8 x 16 gives
+    # the same gap at N = 128)
+    quad = SphereQuadrature(2, 4)
+    v = p / PARAMS.mass
+    f = ExtendedDistribution(grid, (v,), quad, (
+        w0[0][..., None, None]
+        + np.einsum("axv,tpa->xvtp", w0[1:], quad.s_hat)) / (4 * np.pi))
+    fs = external_profiles("uniform_B", {"B0": B_Z}, grid)
+    steps = int(np.ceil(t_end / (0.25 * grid.dx / np.max(np.abs(v)))))
+    for _ in range(steps):
+        f = eulerian_step(f, fs, PARAMS, t_end / steps, limiter="none")
+    F0 = np.einsum("xvtp,tp->xv", f.values, quad.weights)
+    F3 = 3 * np.einsum("xvtp,tp,tpa->axv", f.values, quad.weights, quad.s_hat)
+    return np.max(np.abs(np.concatenate([F0[None], F3]) - w_t)) / np.max(np.abs(w_t))
+
+
+def test_eulerian_solver_carries_the_pauli_handoff():
+    coarse, fine = _eulerian_gap(64), _eulerian_gap(128)
+    # 4.1788e-2 (63 steps) and 9.9492e-3 (252 steps) measured
+    assert abs(fine / 9.9492e-3 - 1.0) < 1e-3, fine
+    order = np.log2(coarse / fine)
+    assert abs(order - 2.0) < 0.15, (coarse, fine)      # 2.07 measured

@@ -7,12 +7,13 @@ from spinkin.ensemble import (
     ensemble_bohm_force,
     ensemble_moments,
 )
+from spinkin.fluid import bohm_force
 from spinkin.grid import SpatialGrid1D
 from spinkin.params import PlasmaParams
 from spinkin.pauli import (
     ExternalPotentials,
     init_state,
-    spinor_observables,
+    spinor_moments,
     step_pauli,
 )
 
@@ -72,11 +73,11 @@ class TestMoments:
         pot = ExternalPotentials(grid)
         st = init_state("gaussian", dict(x0=10.0, width=3.0, p0=0.7, theta0=1.1), grid)
         mom = ensemble_moments(WavefunctionEnsemble([st], [1.0]), pot, PARAMS)
-        n, v, s = spinor_observables(st, pot, PARAMS)
-        ok = ~np.isnan(v)
+        n, nv, ns = spinor_moments(st, pot.A[0], PARAMS)
+        ok = n >= 1e-12 * n.max()
         assert np.max(np.abs(mom.n - n)) < 1e-13
-        assert np.max(np.abs(mom.v[ok] - v[ok])) < 1e-13
-        assert np.max(np.abs(mom.S[:, ok] - s[:, ok])) < 1e-13
+        assert np.max(np.abs(mom.v[ok] - nv[ok] / n[ok])) < 1e-13
+        assert np.max(np.abs(mom.S[:, ok] - ns[:, ok] / n[ok])) < 1e-13
         assert np.max(np.abs(mom.pressure)) < 1e-12
         assert np.max(np.abs(mom.K)) < 1e-12
         assert np.max(np.abs(mom.Sigma_tilde)) < 1e-12
@@ -102,6 +103,29 @@ class TestMoments:
                                ExternalPotentials(grid), PARAMS)
         assert np.max(np.abs(mom.S)) < 1e-13
         assert np.max(np.abs(mom.Sigma)) < 1e-24
+
+    def test_member_vanishing_on_part_of_grid_gives_finite_moments(self):
+        # member a is exactly 0 outside |x - 10| < 4: its ratios 1/n_a read
+        # the clamped density there, and its weight n_a = 0 removes them
+        from spinkin.pauli import SpinorField
+
+        grid = SpatialGrid1D(128, 20.0)
+        offset = grid.x - 10.0
+        env = np.where(np.abs(offset) < 4.0, np.cos(np.pi * offset / 8.0) ** 4, 0.0)
+        a = SpinorField(grid, np.array([env, np.zeros(grid.n)])).normalized()
+        b = init_state("plane_wave", dict(p0=2 * np.pi * 3 / grid.length,
+                                          theta0=1.0), grid)
+        pot = ExternalPotentials(grid)
+        mom = ensemble_moments(WavefunctionEnsemble([a, b], [0.5, 0.5]), pot,
+                               PARAMS)
+        for name in ("n", "v", "S", "pressure", "K", "Sigma", "Sigma_tilde",
+                     "F_spin", "Omega_spin"):
+            assert np.all(np.isfinite(getattr(mom, name))), name
+        # where a vanishes the spin density is b's alone
+        out = a.density() == 0.0
+        assert out.sum() > grid.n // 2
+        n_b, _, ns_b = spinor_moments(b, pot.A[0], PARAMS)
+        assert np.max(np.abs(mom.S[:, out] - ns_b[:, out] / n_b[out])) < 1e-13
 
 
 class TestResiduals:
@@ -143,7 +167,7 @@ class TestResiduals:
         assert norms["momentum"] < 1e-8
         assert norms["spin"] < 1e-8
 
-    def _trajectory_residual(self, cadence, bohm_form="exact"):
+    def _trajectory_residual(self, cadence):
         grid = SpatialGrid1D(128, 20.0)
         pot = ExternalPotentials(
             grid,
@@ -162,7 +186,7 @@ class TestResiduals:
             if level < 2:
                 for _ in range(per_cad):
                     cur = [step_pauli(m, pot, PARAMS, dt_fine) for m in cur]
-        rep = averaged_equation_residual(times, traj, pot, PARAMS, bohm_form)
+        rep = averaged_equation_residual(times, traj, pot, PARAMS)
         return rep.max_norms()
 
     def test_residual_second_order_in_cadence(self):
@@ -173,17 +197,12 @@ class TestResiduals:
             slope = np.polyfit(np.log(cads), np.log(errs), 1)[0]
             assert abs(slope - 2.0) < 0.2, (key, errs)
 
-    def test_collective_bohm_form_leaves_model_error(self):
-        exact = self._trajectory_residual(0.01, "exact")
-        approx = self._trajectory_residual(0.01, "collective")
-        assert approx["momentum"] > 10 * exact["momentum"]
-
     def test_bohm_forms_agree_for_single_member(self):
+        # one member: the member sum is m n times the fluid Bohm force of n
         grid = SpatialGrid1D(128, 20.0)
-        ens = WavefunctionEnsemble(
-            [init_state("gaussian", dict(x0=10.0, width=3.0), grid)], [1.0])
-        exact = ensemble_bohm_force(ens, PARAMS, "exact")
-        coll = ensemble_bohm_force(ens, PARAMS, "collective")
+        st = init_state("gaussian", dict(x0=10.0, width=3.0), grid)
+        ens = WavefunctionEnsemble([st], [1.0])
+        exact = ensemble_bohm_force(ens, PARAMS)
+        n = st.density()
+        coll = PARAMS.mass * n * bohm_force(grid, n, PARAMS)
         assert np.max(np.abs(exact - coll)) < 1e-10
-        with pytest.raises(ValueError):
-            ensemble_bohm_force(ens, PARAMS, "other")

@@ -28,8 +28,8 @@ from spinkin.transforms import (
     SIGMA,
     PhaseSpaceField,
     WaveFunction1D,
+    phase_space_correlation,
     spin_q_transform,
-    wigner_transform,
 )
 
 PARAMS = PlasmaParams()
@@ -123,12 +123,14 @@ class TestDressedTransform:
         psi = init_state("gaussian", dict(x0=6.0, width=1.0, p0=0.8,
                                           theta0=0.9, phi0=0.4), grid)
         quad = SphereQuadrature(6, 12)
-        n_v, v_max = 64, 5.0
-        fw = wigner_transform(phi, PARAMS, n_v=n_v, v_max=v_max)
+        n_v, p_max = 64, PARAMS.mass * 5.0
+        p = -p_max + 2.0 * p_max / n_v * np.arange(n_v)
+        fw = phase_space_correlation(phi.psi[None], grid, p, PARAMS.hbar,
+                                     [[[1.0]]])[0]
         fq = spin_q_transform(np.outer(chi, chi.conj()), quad)
-        f = gi_wigner_transform(psi, np.zeros(grid.n), PARAMS, fw.p / PARAMS.mass,
+        f = gi_wigner_transform(psi, np.zeros(grid.n), PARAMS, p / PARAMS.mass,
                                 quad=quad)
-        expect = (PARAMS.mass * fw.values[None, None]
+        expect = (PARAMS.mass * fw[None, None]
                   * fq.values[:, :, None, None])
         got = np.moveaxis(f.values, (0, 1), (2, 3))
         assert np.max(np.abs(got - expect)) < 1e-12

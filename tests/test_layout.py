@@ -1,6 +1,7 @@
 """Package layout rules: no module reaches into another's private names,
 every defaulted parameter (dataclass fields included) is passed by some
-call, scipy is imported only inside SphereQuadrature.harmonic_matrix, the
+call, every dataclass field is read by some attribute access, scipy is
+imported only inside SphereQuadrature.harmonic_matrix, the
 numeric modules load without the symbolic algebra stack, the Eulerian
 solver loads without scipy.special, and the command line, a run and its
 frequency fit load neither scipy.optimize nor scipy.special."""
@@ -136,6 +137,28 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                     or index is not None and positions.get(fn, 0) > index):
                 unset.append(f"{path.name}: {fn}.{param}")
     assert not unset, f"defaulted parameters no call passes: {unset}"
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # reads are matched by the attribute name alone, as calls are above
+    read = set()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            read.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [f"{path.name}: {node.name}.{stmt.target.id}"
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_numeric_modules_do_not_load_sympy(tmp_path):

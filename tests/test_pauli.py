@@ -10,12 +10,22 @@ from spinkin.pauli import (
     energy,
     init_state,
     spin_orientation,
-    spinor_observables,
+    spinor_moments,
     step_pauli,
 )
 from spinkin.transforms import SIGMA
 
 PARAMS = PlasmaParams(hbar=1.0)
+
+
+def spinor_observables(state, pot, params):
+    """(n, v, s) from spinor_moments, v and s NaN where n < 1e-12 max n."""
+    n, nv, ns = spinor_moments(state, pot.A[0], params)
+    mask = n < 1e-12 * n.max()
+    safe_n = np.where(mask, 1.0, n)
+    v = np.where(mask, np.nan, nv / safe_n)
+    s = np.where(mask[None, :], np.nan, ns / safe_n[None, :])
+    return n, v, s
 
 
 def uniform_b(grid, bvec):
